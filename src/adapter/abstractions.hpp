@@ -81,28 +81,20 @@ void run_indexed(const Device& dev, std::size_t n, F&& f) {
   // Stage boundary: every codec encode/decode loop funnels through here,
   // so a fired job token aborts before the next stage launches.
   fault::poll_cancel();
+  const auto polled = [&](std::size_t i) {
+    if ((i & (kCancelStride - 1)) == 0) fault::poll_cancel();
+    f(i);
+  };
   switch (dev.kind()) {
     case DeviceKind::Serial:
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((i & (kCancelStride - 1)) == 0) fault::poll_cancel();
-        f(i);
-      }
+      for (std::size_t i = 0; i < n; ++i) polled(i);
       break;
-    case DeviceKind::StdThread: {
-      // Pool workers don't inherit the caller's thread-local token; hand
-      // it to them by value. parallel_for propagates the first throw and
-      // early-exits the remaining ranges.
-      const fault::CancelToken tok = fault::current_cancel();
-      if (!tok.valid()) {
-        ThreadPool::instance().parallel_for(n, f);
-      } else {
-        ThreadPool::instance().parallel_for(n, [&](std::size_t i) {
-          if ((i & (kCancelStride - 1)) == 0) tok.check();
-          f(i);
-        });
-      }
+    case DeviceKind::StdThread:
+      // The pool runs the body under the caller's cancel token;
+      // parallel_for propagates the first throw and early-exits the
+      // remaining ranges.
+      ThreadPool::instance().parallel_for(n, polled);
       break;
-    }
     case DeviceKind::OpenMP:
     case DeviceKind::SimGpu: {
       // No polls inside the region: throwing across an OpenMP parallel

@@ -1,6 +1,4 @@
-// cuSZ dual-quantization codec (see sz.hpp). Kept in its own translation
-// unit: it shares only the container conventions with the block-local
-// in-loop Lorenzo codec in sz.cpp.
+// cuSZ dual-quantization codec (see sz.hpp).
 #include <algorithm>
 #include <cmath>
 #include <cstring>

@@ -3,14 +3,10 @@
 
 /// \file sz.hpp
 /// cuSZ-style error-bounded lossy compressor (the paper's cuSZ v0.6
-/// comparison baseline, Figs. 1, 16, 17): block-local Lorenzo prediction,
-/// in-loop linear quantization against the absolute error bound (prediction
-/// from *reconstructed* neighbours, so the bound holds unconditionally),
-/// and Huffman coding of the quantization codes. Unpredictable values are
-/// stored exactly in an outlier list.
-///
-/// Blocks predict independently (as cuSZ's GPU kernels do), which is what
-/// makes both compression and decompression embarrassingly parallel.
+/// comparison baseline, Figs. 1, 16, 17; registered as `cusz`): Lorenzo
+/// prediction over dual-quantized integers, linear quantization against the
+/// absolute error bound, and Huffman coding of the quantization codes.
+/// Unpredictable values are stored exactly in an outlier list.
 
 #include <cstdint>
 #include <span>
@@ -20,17 +16,6 @@
 #include "core/ndarray.hpp"
 
 namespace hpdr::sz {
-
-/// Compress with a relative L∞ error bound (relative to the value range).
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const float> data, double rel_eb);
-std::vector<std::uint8_t> compress(const Device& dev,
-                                   NDView<const double> data, double rel_eb);
-
-NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
-NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
 
 /// cuSZ's dual-quantization scheme — the design that makes its compression
 /// kernel embarrassingly parallel (Tian et al., PACT'20): values are

@@ -242,7 +242,7 @@ class ByteWriter {
 
   void put_string(const std::string& s) {
     put_varint(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    put_bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
   std::size_t size() const { return buf_.size(); }

@@ -28,6 +28,17 @@
 /// batch, so the scheduler can re-apportion live (jobs finishing return
 /// their slots to the remaining jobs without any pool coordination).
 /// Withheld tickets are counted (tickets_capped) for svc telemetry.
+///
+/// Ambient context (DESIGN.md §9.1): a batch carries its caller's request
+/// trace (telemetry::current_trace()) and cancel token
+/// (fault::current_cancel()). Every thread that runs ranges of the batch —
+/// a pool worker, or a joining thread helping another caller's batch —
+/// installs both for those ranges and restores its own afterwards, so
+/// bodies see the caller's trace lineage and deadline without any
+/// capture-and-reinstall of their own. Bodies still poll the token
+/// themselves (fault::poll_cancel()) at their own granularity. The slot
+/// share (ScopedShare) is deliberately *not* carried: it caps the caller's
+/// top-level batches only.
 
 #include <atomic>
 #include <condition_variable>
@@ -40,6 +51,9 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "fault/cancel.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace hpdr {
 
@@ -153,7 +167,8 @@ class ThreadPool {
   /// Run f(i) for i in [0, n), parallelized across the pool and the
   /// calling thread. Blocks until done; rethrows the first exception.
   /// Reentrant: may be called concurrently from many threads and from
-  /// inside another parallel_for body.
+  /// inside another parallel_for body. f runs under the caller's trace
+  /// context and cancel token on whichever thread executes it.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& f) {
     if (n == 0) return;
     const unsigned full =
@@ -169,6 +184,8 @@ class ThreadPool {
     batch->n = n;
     batch->body = &f;
     batch->grain = std::max<std::size_t>(1, n / (4 * width));
+    batch->trace = telemetry::current_trace();
+    batch->cancel = fault::current_cancel();
     {
       std::lock_guard<std::mutex> g(queue_mu_);
       // One helper ticket per extra slot; a ticket that is never picked up
@@ -200,6 +217,8 @@ class ThreadPool {
     std::size_t n = 0;                    ///< index-space size
     std::size_t grain = 1;                ///< indices claimed per grab
     const std::function<void(std::size_t)>* body = nullptr;
+    telemetry::TraceContext trace;        ///< caller's trace, for participants
+    fault::CancelToken cancel;            ///< caller's ambient cancel token
     std::atomic<unsigned> participants{0};  ///< threads inside participate()
     std::atomic<bool> failed{false};      ///< early-exit flag on error
     std::exception_ptr error;             ///< first exception (under mu)
@@ -245,8 +264,11 @@ class ThreadPool {
 
   /// Claim and run ranges until the batch's index space is drained (or the
   /// batch failed). Every thread that touches a batch goes through here, so
-  /// completion is exactly "no participants left and nothing unclaimed".
+  /// completion is exactly "no participants left and nothing unclaimed" —
+  /// and installing the caller's context here covers every range.
   void participate(Batch& b) {
+    const telemetry::TraceScope trace_scope(b.trace);
+    const fault::CancelScope cancel_scope(b.cancel);
     b.participants.fetch_add(1, std::memory_order_acq_rel);
     const unsigned now = active_.fetch_add(1, std::memory_order_relaxed) + 1;
     unsigned peak = peak_active_.load(std::memory_order_relaxed);

@@ -13,7 +13,8 @@
 ///   * explicitly — captured by value and checked via token.check(); and
 ///   * ambiently — installed thread-locally with CancelScope (mirroring
 ///     telemetry::TraceScope) so deep layers that never see a JobSpec can
-///     still honour the job's deadline via fault::poll_cancel().
+///     still honour the job's deadline via fault::poll_cancel(). ThreadPool
+///     carries the ambient token into every parallel_for body it runs.
 ///
 /// poll_cancel() is cheap enough for per-chunk/per-block call sites: one
 /// thread-local load when no token is installed; with a token, an atomic
@@ -86,9 +87,9 @@ class CancelToken {
 CancelToken current_cancel();
 
 /// RAII: install `token` as the calling thread's ambient cancel token for
-/// the scope, restoring the previous one on exit. Pipeline chunk tasks
-/// re-install the job's token inside pool-worker lambdas exactly like
-/// telemetry::TraceScope re-installs the trace context.
+/// the scope, restoring the previous one on exit. ThreadPool installs a
+/// batch's captured token the same way on each thread that runs part of
+/// it, so parallel_for bodies only poll.
 class CancelScope {
  public:
   explicit CancelScope(CancelToken token);

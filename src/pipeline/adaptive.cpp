@@ -83,4 +83,24 @@ std::vector<std::size_t> fixed_schedule(std::size_t total_bytes,
   return chunks;
 }
 
+std::size_t slab_granule(std::size_t rows, std::size_t slab_bytes) {
+  return rows >= 8 ? 4 * slab_bytes : slab_bytes;
+}
+
+RowPlan plan_rows(const std::vector<std::size_t>& schedule,
+                  std::size_t slab_bytes, std::size_t total_rows) {
+  RowPlan plan;
+  plan.rows.reserve(schedule.size());
+  plan.begin.reserve(schedule.size());
+  std::size_t row = 0;
+  for (std::size_t bytes : schedule) {
+    HPDR_ASSERT(bytes >= slab_bytes && bytes % slab_bytes == 0);
+    plan.rows.push_back(bytes / slab_bytes);
+    plan.begin.push_back(row);
+    row += plan.rows.back();
+  }
+  HPDR_ASSERT(row == total_rows);
+  return plan;
+}
+
 }  // namespace hpdr::pipeline

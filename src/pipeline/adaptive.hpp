@@ -40,6 +40,21 @@ std::vector<std::size_t> fixed_schedule(std::size_t total_bytes,
                                         std::size_t granule_bytes,
                                         std::size_t chunk_bytes);
 
+/// Chunking granule for a tensor of `rows` slabs of `slab_bytes` each:
+/// four-slab granules when the tensor is tall enough, so chunk boundaries
+/// stay aligned with the codecs' 4^d block structure. The v2 and v3
+/// writers both chunk on it, so their chunks line up.
+std::size_t slab_granule(std::size_t rows, std::size_t slab_bytes);
+
+/// Whole-slab geometry of a byte schedule over a tensor of `total_rows`
+/// slabs: chunk c holds rows[c] slabs starting at tensor row begin[c].
+struct RowPlan {
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> begin;
+};
+RowPlan plan_rows(const std::vector<std::size_t>& schedule,
+                  std::size_t slab_bytes, std::size_t total_rows);
+
 }  // namespace hpdr::pipeline
 
 #endif  // HPDR_PIPELINE_ADAPTIVE_HPP

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <type_traits>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -18,7 +19,6 @@
 #include "pipeline/progressive.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace_context.hpp"
 
 namespace hpdr::pipeline {
 namespace {
@@ -113,8 +113,8 @@ class KernelWidthSplit {
   bool active_ = false;
 };
 
-/// Per-thread decode scratch, reused across chunks and calls (the pooled
-/// arena that replaces per-call scratch allocation in decompress_rows).
+/// Per-thread decode scratch for chunks that straddle a decoded row range,
+/// reused across chunks and calls.
 std::vector<std::uint8_t>& decode_scratch(std::size_t bytes) {
   thread_local std::vector<std::uint8_t> scratch;
   if (scratch.size() < bytes) scratch.resize(bytes);
@@ -170,6 +170,17 @@ struct Slabs {
   }
 };
 
+/// One chunk-table row, plus where the chunk sits in the tensor and in the
+/// payload.
+struct ChunkEntry {
+  std::size_t rows = 0;
+  std::size_t size = 0;          ///< stored blob bytes
+  std::uint8_t tag = kTagCodec;  ///< always kTagCodec in v1 streams
+  std::uint64_t checksum = 0;    ///< v2 FNV-1a of the blob
+  std::size_t row_begin = 0;     ///< first tensor row
+  std::size_t blob_off = 0;      ///< payload-relative blob offset
+};
+
 /// Parsed container header + chunk table (both format versions).
 struct Header {
   std::uint8_t version = 0;
@@ -177,17 +188,15 @@ struct Header {
   DType dtype = DType::F32;
   Shape shape = Shape::of_rank(1);
   std::uint8_t mode = 0;
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> sizes;
-  std::vector<std::uint8_t> tags;            ///< kTagCodec for v1 streams
-  std::vector<std::uint64_t> checksums;      ///< empty for v1 streams
+  std::vector<ChunkEntry> chunks;
 
   bool framed() const { return version >= 2; }
 };
 
 /// Parse and sanity-cap the header; `in` is left at the first chunk blob.
 /// Every count/length is bounded against the actual container size before
-/// any allocation, so a flipped size field is rejected, not malloc'd.
+/// any allocation, so a flipped size field is rejected, not malloc'd, and
+/// the chunks must tile the tensor's rows exactly, one slab or more each.
 Header parse_header(ByteReader& in) {
   Header h;
   HPDR_REQUIRE(in.get_u8() == kMagic, "not an HPDR pipeline container");
@@ -208,23 +217,27 @@ Header parse_header(ByteReader& in) {
   // A chunk holds at least one slab, its table entry at least two bytes.
   HPDR_REQUIRE(nchunks <= h.shape[0] && nchunks <= in.remaining() / 2 + 1,
                "implausible chunk count");
-  h.rows.resize(nchunks);
-  h.sizes.resize(nchunks);
-  h.tags.assign(nchunks, kTagCodec);
-  if (h.framed()) h.checksums.resize(nchunks);
+  h.chunks.resize(nchunks);
+  std::size_t row = 0;
   std::size_t total = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    h.rows[c] = in.get_varint();
-    h.sizes[c] = in.get_varint();
+  for (ChunkEntry& e : h.chunks) {
+    e.rows = in.get_varint();
+    HPDR_REQUIRE(e.rows >= 1 && e.rows <= h.shape[0] - row,
+                 "chunks overrun the tensor");
+    e.row_begin = row;
+    row += e.rows;
+    e.size = in.get_varint();
     if (h.framed()) {
-      h.tags[c] = in.get_u8();
-      HPDR_REQUIRE(h.tags[c] <= kTagRaw, "corrupt chunk codec tag");
-      h.checksums[c] = in.get_u64();
+      e.tag = in.get_u8();
+      HPDR_REQUIRE(e.tag <= kTagRaw, "corrupt chunk codec tag");
+      e.checksum = in.get_u64();
     }
-    total += h.sizes[c];
-    HPDR_REQUIRE(h.sizes[c] <= in.remaining() && total <= in.remaining(),
+    e.blob_off = total;
+    total += e.size;
+    HPDR_REQUIRE(e.size <= in.remaining() && total <= in.remaining(),
                  "chunk table exceeds container size");
   }
+  HPDR_REQUIRE(row == h.shape[0], "chunks do not cover the tensor");
   return h;
 }
 
@@ -278,6 +291,67 @@ void check_stream_matches(const Header& h, const Compressor& comp,
                                                     << shape.to_string());
 }
 
+/// What one chunk task reports back to its loop. Every loop keeps one
+/// record per chunk, filled by whichever worker runs the chunk, and folds
+/// them into its result in chunk order afterwards — so streams, manifests
+/// and fault accounting never depend on how chunks interleave.
+struct ChunkOutcome {
+  /// Encode: false when the chunk was stored through the raw passthrough.
+  /// Decode: false when the chunk was corrupt and zero-filled (Skip).
+  bool ok = true;
+  std::vector<std::uint8_t> blob;  ///< encode: the stored frame
+  std::uint64_t checksum = 0;      ///< encode: FNV-1a of the frame
+  std::size_t retries = 0;         ///< encode: codec re-attempts absorbed
+  int worker = 0;                  ///< pool slot that ran the chunk
+  bool cache_hit = false;
+  bool cache_miss = false;
+  double codec_s = 0.0;  ///< wall seconds inside the codec
+  double hit_s = 0.0;    ///< wall seconds serving a cache hit
+};
+
+/// The chunk engine both directions run on: fans `n` chunk tasks
+/// `task(i, outcome)` across the pool under the kernel-width split and
+/// returns the outcomes in chunk order. The pool carries the caller's
+/// trace and cancel token into every task.
+template <class Task>
+std::vector<ChunkOutcome> run_chunks(const Device& dev, std::size_t n,
+                                     Task&& task) {
+  auto& pool = ThreadPool::instance();
+  pool.reset_peak();
+  const KernelWidthSplit split(n, dev);
+  std::vector<ChunkOutcome> outcomes(n);
+  pool.parallel_for(n, [&](std::size_t i) {
+    // Chunk boundary: a fired token aborts here; parallel_for propagates
+    // the throw and early-exits the remaining chunks, so a cancelled job
+    // stops within one chunk's work.
+    fault::poll_cancel();
+    split.apply();
+    outcomes[i].worker = ThreadPool::worker_id();
+    task(i, outcomes[i]);
+  });
+  Instruments::get().pool_occupancy.observe(pool.peak_active());
+  return outcomes;
+}
+
+/// Fold chunk outcomes into a result; outcome i belongs to chunk first + i.
+template <class Result>
+void tally(const std::vector<ChunkOutcome>& outcomes, std::size_t first,
+           Result& r) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const ChunkOutcome& o = outcomes[i];
+    r.cache_hits += o.cache_hit;
+    r.cache_misses += o.cache_miss;
+    r.codec_s += o.codec_s;
+    r.cache_hit_s += o.hit_s;
+    if constexpr (std::is_same_v<Result, CompressResult>) {
+      r.codec_retries += o.retries;
+      r.fallback_chunks += !o.ok;
+    } else if (!o.ok) {
+      r.corrupt_chunks.push_back(first + i);
+    }
+  }
+}
+
 /// Decode chunk `c` into `dst` with checksum verification and containment.
 /// Returns true on success; false when the chunk is corrupt and `recovery`
 /// is Skip (dst is zero-filled, telemetry recorded). Throws under Strict.
@@ -294,27 +368,26 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
                   std::uint8_t* dst, const Shape& chunk_shape,
                   std::size_t chunk_bytes, ChunkRecovery recovery,
                   ChunkCacheBase* cache, std::uint64_t meta_base,
-                  std::uint8_t& cache_hit, std::uint8_t& cache_miss,
-                  double& codec_s, double& hit_s) {
+                  ChunkOutcome& o) {
   auto& ins = Instruments::get();
+  const ChunkEntry& e = h.chunks[c];
   std::uint64_t cmeta = 0;
-  const bool cacheable =
-      cache != nullptr && h.framed() && h.tags[c] == kTagCodec;
+  const bool cacheable = cache != nullptr && h.framed() && e.tag == kTagCodec;
   if (cacheable) {
-    cmeta = fnv1a64_fold(blob.size(), fnv1a64_fold(h.rows[c], meta_base));
+    cmeta = fnv1a64_fold(blob.size(), fnv1a64_fold(e.rows, meta_base));
     const auto t0 = std::chrono::steady_clock::now();
-    if (cache->get_raw(h.checksums[c], cmeta, dst, chunk_bytes)) {
-      cache_hit = 1;
-      hit_s = wall_since(t0);
+    if (cache->get_raw(e.checksum, cmeta, dst, chunk_bytes)) {
+      o.cache_hit = true;
+      o.hit_s = wall_since(t0);
       return true;
     }
-    cache_miss = 1;
+    o.cache_miss = true;
   }
   const char* why = nullptr;
-  if (h.framed() && fnv1a64(blob) != h.checksums[c]) {
+  if (h.framed() && fnv1a64(blob) != e.checksum) {
     ins.corrupt_detected.add();
     why = "checksum mismatch";
-  } else if (h.tags[c] == kTagRaw) {
+  } else if (e.tag == kTagRaw) {
     if (blob.size() != chunk_bytes) {
       ins.corrupt_detected.add();
       why = "passthrough chunk size mismatch";
@@ -326,14 +399,13 @@ bool decode_chunk(const Device& dev, const Compressor& comp, const Header& h,
     try {
       const auto t0 = std::chrono::steady_clock::now();
       comp.decompress(dev, blob, dst, chunk_shape, h.dtype);
-      codec_s = wall_since(t0);
-      if (cacheable)
-        cache->put_raw(h.checksums[c], cmeta, {dst, chunk_bytes});
+      o.codec_s = wall_since(t0);
+      if (cacheable) cache->put_raw(e.checksum, cmeta, {dst, chunk_bytes});
       return true;
-    } catch (const Error& e) {
+    } catch (const Error& err) {
       // A fired cancel token is a job abort, not chunk corruption: Skip
       // recovery must not zero-fill and carry on.
-      if (is_cancellation(e)) throw;
+      if (is_cancellation(err)) throw;
       if (recovery == ChunkRecovery::Strict) throw;
       ins.corrupt_detected.add();
       why = "decode failure";
@@ -352,6 +424,79 @@ bool is_progressive_stream(std::span<const std::uint8_t> stream) {
   return stream.size() >= 2 && stream[0] == kMagic && stream[1] == 3;
 }
 
+/// A decoded row range: the parsed stream and the chunks [first, last)
+/// that overlap the range — what the entry points bill.
+struct RangePlan {
+  Header h;
+  std::size_t slab_bytes = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+/// The one decode loop behind decompress and decompress_rows. Parses and
+/// checks the stream, then decodes every chunk overlapping rows
+/// [row_begin, row_end) across the pool into `out`, which holds exactly
+/// that range: chunks the range covers decode straight into place,
+/// boundary chunks decode into the per-thread scratch and are cropped.
+/// Corrupt chunks zero-fill under ChunkRecovery::Skip and reject the
+/// stream under Strict. Fills `result`'s corrupt-chunk and cache fields.
+RangePlan decode_range(const Device& dev, const Compressor& comp,
+                       std::span<const std::uint8_t> stream,
+                       std::uint8_t* out, const Shape& shape, DType dtype,
+                       std::size_t row_begin, std::size_t row_end,
+                       const Options& opts, DecompressResult& result) {
+  HPDR_REQUIRE(!is_progressive_stream(stream),
+               "v3 progressive container: decode through "
+               "pipeline::ProgressiveReader (refine to a bound)");
+  ByteReader in(stream);
+  RangePlan p{parse_header(in)};
+  check_stream_matches(p.h, comp, shape, dtype);
+  const Slabs slabs(shape, dtype);
+  p.slab_bytes = slabs.slab_bytes;
+  const std::vector<ChunkEntry>& chunks = p.h.chunks;
+  // The chunks tile the rows in order, so the overlapping ones are a
+  // contiguous index range.
+  while (p.first < chunks.size() &&
+         chunks[p.first].row_begin + chunks[p.first].rows <= row_begin)
+    ++p.first;
+  p.last = p.first;
+  while (p.last < chunks.size() && chunks[p.last].row_begin < row_end)
+    ++p.last;
+
+  const std::uint8_t* payload =
+      stream.data() + (stream.size() - in.remaining());
+  // Overlapping subdomain reads are the dedup cache's decode sweet spot:
+  // a boundary chunk decoded for one row range hits for every neighbouring
+  // range that touches the same chunk.
+  ChunkCacheBase* const cache = cache_for(opts);
+  const std::uint64_t meta_base =
+      cache != nullptr
+          ? cache_meta_base(kCacheRawSalt, p.h.compressor, p.h.dtype, shape,
+                            0.0)
+          : 0;
+  const auto outcomes = run_chunks(
+      dev, p.last - p.first, [&](std::size_t i, ChunkOutcome& o) {
+        const std::size_t c = p.first + i;
+        const ChunkEntry& e = chunks[c];
+        const std::size_t chunk_bytes = e.rows * slabs.slab_bytes;
+        const std::size_t ov_begin = std::max(e.row_begin, row_begin);
+        const std::size_t ov_end = std::min(e.row_begin + e.rows, row_end);
+        std::uint8_t* dst = out + (ov_begin - row_begin) * slabs.slab_bytes;
+        const bool whole = ov_end - ov_begin == e.rows;
+        std::uint8_t* target =
+            whole ? dst : decode_scratch(chunk_bytes).data();
+        o.ok = decode_chunk(dev, comp, p.h, c, {payload + e.blob_off, e.size},
+                            target, slabs.chunk_shape(shape, e.rows),
+                            chunk_bytes, opts.recovery, cache, meta_base, o);
+        if (!whole)
+          std::memcpy(dst,
+                      target + (ov_begin - e.row_begin) * slabs.slab_bytes,
+                      (ov_end - ov_begin) * slabs.slab_bytes);
+      });
+  tally(outcomes, p.first, result);
+  return p;
+}
+
 }  // namespace
 
 const char* to_string(Mode m) { return mode_name(m); }
@@ -367,11 +512,8 @@ CompressResult compress(const Device& dev, const Compressor& comp,
   ins.compress_raw_bytes.add(total_bytes);
   telemetry::Span span_all("pipeline.compress", "pipeline");
 
-  // Chunk schedule in bytes (whole slabs; four-slab granules when the
-  // tensor is tall enough, so chunk boundaries stay aligned with the
-  // codecs' 4^d block structure).
-  const std::size_t granule =
-      slabs.rows >= 8 ? 4 * slabs.slab_bytes : slabs.slab_bytes;
+  // Chunk schedule in bytes (whole slabs, in granules).
+  const std::size_t granule = slab_granule(slabs.rows, slabs.slab_bytes);
   // Alg. 4's C_limit is "the maximum chunk size limited by GPU memory":
   // the double-buffered pipeline holds two input and two output buffers
   // plus the kernel workspace (~2× input for the codecs here), so a chunk
@@ -404,68 +546,31 @@ CompressResult compress(const Device& dev, const Compressor& comp,
 
   // Compress every chunk with the real codec (eagerly: task durations for
   // D2H need the actual compressed sizes). Chunks are independent, so the
-  // loop fans out across the process thread pool; every per-chunk result
-  // lands in an indexed slot and every fault draw is keyed by the chunk
-  // index, so the stream, manifest, and fault accounting are byte-identical
-  // to the serial order no matter how the chunks interleave. Per-chunk
-  // containment: a codec failure — injected at the hdem.task site or
-  // genuine — is retried up to opts.codec_retries times, then the chunk
-  // falls back to the lossless passthrough codec so the run completes with
-  // that chunk stored raw.
+  // loop fans out across the process thread pool; every fault draw is
+  // keyed by the chunk index, so the stream, manifest, and fault accounting
+  // are byte-identical to the serial order no matter how the chunks
+  // interleave. Per-chunk containment: a codec failure — injected at the
+  // hdem.task site or genuine — is retried up to opts.codec_retries times,
+  // then the chunk falls back to the lossless passthrough codec so the run
+  // completes with that chunk stored raw.
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   const std::size_t nchunks = schedule.size();
-  std::vector<std::vector<std::uint8_t>> blobs(nchunks);
-  std::vector<std::size_t> chunk_rows(nchunks);
-  std::vector<std::size_t> row_begin(nchunks);
-  std::vector<std::uint8_t> tags(nchunks, kTagCodec);
-  std::vector<std::uint64_t> checksums(nchunks, 0);
-  std::vector<std::size_t> retries(nchunks, 0);
-  std::vector<int> workers(nchunks, 0);
-  std::vector<std::uint8_t> cache_hit(nchunks, 0);
-  std::vector<std::uint8_t> cache_miss(nchunks, 0);
-  std::vector<double> codec_secs(nchunks, 0.0);
-  std::vector<double> hit_secs(nchunks, 0.0);
+  const RowPlan plan = plan_rows(schedule, slabs.slab_bytes, slabs.rows);
   ChunkCacheBase* const cache = cache_for(opts);
   const std::uint64_t meta_base =
       cache != nullptr
           ? cache_meta_base(kCacheFrameSalt, comp.name(), dtype, shape,
                             opts.param)
           : 0;
-  {
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const std::size_t rows_c = schedule[c] / slabs.slab_bytes;
-      HPDR_ASSERT(rows_c >= 1 && schedule[c] % slabs.slab_bytes == 0);
-      chunk_rows[c] = rows_c;
-      row_begin[c] = row;
-      row += rows_c;
-    }
-    HPDR_ASSERT(row == slabs.rows);
-  }
   CompressResult result;
+  std::vector<ChunkOutcome> chunks;
   {
     telemetry::Span span("pipeline.encode", "pipeline");
-    auto& pool = ThreadPool::instance();
-    pool.reset_peak();
-    const KernelWidthSplit split(nchunks, dev);
     const auto max_attempts =
         static_cast<std::size_t>(std::max(0, opts.codec_retries));
-    // Carry the caller's request trace — and its cancel token — into the
-    // pool workers so per-chunk codec spans attribute to the job that
-    // fanned them out and chunk tasks honour the job's deadline.
-    const telemetry::TraceContext trace = telemetry::current_trace();
-    const fault::CancelToken cancel = fault::current_cancel();
-    pool.parallel_for(nchunks, [&](std::size_t c) {
-      const telemetry::TraceScope trace_scope(trace);
-      const fault::CancelScope cancel_scope(cancel);
-      // Chunk boundary: a fired token aborts here; parallel_for propagates
-      // the throw and early-exits the remaining chunks, so a cancelled job
-      // stops within one chunk's work.
-      fault::poll_cancel();
-      split.apply();
-      workers[c] = ThreadPool::worker_id();
-      const Shape cshape = slabs.chunk_shape(shape, chunk_rows[c]);
-      const std::uint8_t* src = bytes + row_begin[c] * slabs.slab_bytes;
+    chunks = run_chunks(dev, nchunks, [&](std::size_t c, ChunkOutcome& o) {
+      const Shape cshape = slabs.chunk_shape(shape, plan.rows[c]);
+      const std::uint8_t* src = bytes + plan.begin[c] * slabs.slab_bytes;
       // Dedup lookup: content hash of the raw chunk + the call's meta key
       // (codec, eb, dtype, chunk geometry). A hit returns the frame an
       // identical cache-off run would have produced — the codec is
@@ -475,20 +580,20 @@ CompressResult compress(const Device& dev, const Compressor& comp,
       std::uint64_t cmeta = 0;
       if (cache != nullptr) {
         raw_hash = fnv1a64({src, schedule[c]});
-        cmeta = fnv1a64_fold(chunk_rows[c], meta_base);
+        cmeta = fnv1a64_fold(plan.rows[c], meta_base);
         const auto t0 = std::chrono::steady_clock::now();
-        if (cache->get_frame(raw_hash, cmeta, blobs[c], checksums[c])) {
-          cache_hit[c] = 1;
-          hit_secs[c] = wall_since(t0);
-          fault::corrupt_at("chunk.corrupt", c, blobs[c]);
+        if (cache->get_frame(raw_hash, cmeta, o.blob, o.checksum)) {
+          o.cache_hit = true;
+          o.hit_s = wall_since(t0);
+          fault::corrupt_at("chunk.corrupt", c, o.blob);
           return;
         }
-        cache_miss[c] = 1;
+        o.cache_miss = true;
       }
       if (opts.force_passthrough) {
         // Degraded mode: raw framing without touching the codec at all.
-        blobs[c].assign(src, src + schedule[c]);
-        tags[c] = kTagRaw;
+        o.blob.assign(src, src + schedule[c]);
+        o.ok = false;
         ins.fallbacks.add();
       } else {
         const auto t0 = std::chrono::steady_clock::now();
@@ -496,45 +601,37 @@ CompressResult compress(const Device& dev, const Compressor& comp,
           try {
             if (fault::should_fire_at("hdem.task", c, attempt))
               throw Error(ErrorKind::Fault, "injected hdem.task fault");
-            blobs[c] = comp.compress(dev, src, cshape, dtype, opts.param);
+            o.blob = comp.compress(dev, src, cshape, dtype, opts.param);
             break;
           } catch (const Error& e) {
             // Deadline/cancel aborts the job; it must not be absorbed as
             // one more transient codec failure and retried or stored raw.
             if (is_cancellation(e)) throw;
             if (attempt < max_attempts) {
-              ++retries[c];
+              ++o.retries;
               ins.encode_retries.add();
               continue;
             }
             // Lossless passthrough: the chunk's raw bytes, trivially
             // within any error bound, decodable without the codec.
-            blobs[c].assign(src, src + schedule[c]);
-            tags[c] = kTagRaw;
+            o.blob.assign(src, src + schedule[c]);
+            o.ok = false;
             ins.fallbacks.add();
             break;
           }
         }
-        codec_secs[c] = wall_since(t0);
+        o.codec_s = wall_since(t0);
       }
       // Checksum the payload as produced, then let the fault plan corrupt
       // the stored bytes — decode detects exactly this mismatch. Only a
       // clean codec frame is cacheable: passthrough fallbacks depend on
       // retry state, not content, and raw frames gain nothing over memcpy.
-      checksums[c] = fnv1a64(blobs[c]);
-      if (cache != nullptr && tags[c] == kTagCodec)
-        cache->put_frame(raw_hash, cmeta, blobs[c], checksums[c]);
-      fault::corrupt_at("chunk.corrupt", c, blobs[c]);
+      o.checksum = fnv1a64(o.blob);
+      if (cache != nullptr && o.ok)
+        cache->put_frame(raw_hash, cmeta, o.blob, o.checksum);
+      fault::corrupt_at("chunk.corrupt", c, o.blob);
     });
-    ins.pool_occupancy.observe(pool.peak_active());
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      result.codec_retries += retries[c];
-      if (tags[c] == kTagRaw) ++result.fallback_chunks;
-      result.cache_hits += cache_hit[c];
-      result.cache_misses += cache_miss[c];
-      result.codec_s += codec_secs[c];
-      result.cache_hit_s += hit_secs[c];
-    }
+    tally(chunks, 0, result);
   }
 
   // Build and run the HDEM task DAG (Fig. 9 top).
@@ -542,11 +639,11 @@ CompressResult compress(const Device& dev, const Compressor& comp,
   HdemSimulator sim(3);
   const bool gpu = dev.spec().is_gpu();
   const bool pipelined = opts.overlap && opts.mode != Mode::None;
-  std::vector<std::uint32_t> serialize_id(schedule.size());
-  std::vector<std::uint32_t> d2h_id(schedule.size());
-  std::vector<std::uint32_t> h2d_id(schedule.size());
-  std::vector<std::uint32_t> reduce_id(schedule.size());
-  for (std::size_t c = 0; c < schedule.size(); ++c) {
+  std::vector<std::uint32_t> serialize_id(nchunks);
+  std::vector<std::uint32_t> d2h_id(nchunks);
+  std::vector<std::uint32_t> h2d_id(nchunks);
+  std::vector<std::uint32_t> reduce_id(nchunks);
+  for (std::size_t c = 0; c < nchunks; ++c) {
     const std::uint32_t q =
         pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
     // Non-CMM baselines pay device memory management on every invocation.
@@ -572,7 +669,7 @@ CompressResult compress(const Device& dev, const Compressor& comp,
         model.kernel_seconds(comp.compress_kernel(), schedule[c]);
     // A retried codec task re-executes on the device: each absorbed retry
     // bills one extra kernel occurrence before the successful run.
-    for (std::size_t r = 0; r < retries[c]; ++r)
+    for (std::size_t r = 0; r < chunks[c].retries; ++r)
       sim.submit(q, EngineId::Compute, "reduce-retry", kernel_s);
     std::vector<std::uint32_t> comp_deps;
     if (pipelined && c >= 2) comp_deps.push_back(d2h_id[c - 2]);
@@ -581,40 +678,40 @@ CompressResult compress(const Device& dev, const Compressor& comp,
     // D2H of the compressed output (real size!), then serialization.
     d2h_id[c] = sim.submit(
         q, EngineId::D2H, "d2h",
-        gpu ? model.d2h().seconds(blobs[c].size()) / page : 0.0);
+        gpu ? model.d2h().seconds(chunks[c].blob.size()) / page : 0.0);
     serialize_id[c] = sim.submit(
         q, EngineId::D2H, "serialize",
         gpu ? model.d2h().seconds(static_cast<std::size_t>(kSerializeBytes))
             : 0.0);
     // Unoverlapped baselines synchronize the device after every chunk.
-    if (!pipelined && schedule.size() > 1)
+    if (!pipelined && nchunks > 1)
       sim.submit(q, EngineId::Compute, "sync",
                  gpu ? 4 * dev.spec().kernel_launch_us * 1e-6 : 0.0);
   }
 
   result.timeline = sim.run();
   result.raw_bytes = total_bytes;
-  result.chunk_rows = chunk_rows;
+  result.chunk_rows = plan.rows;
   span_sim.end();
 
   // Per-chunk manifest records: what the Φ/Θ models predicted vs. what the
   // simulated schedule realized (task ids index the timeline directly).
-  result.decisions.resize(schedule.size());
-  for (std::size_t c = 0; c < schedule.size(); ++c) {
+  result.decisions.resize(nchunks);
+  for (std::size_t c = 0; c < nchunks; ++c) {
     telemetry::ChunkDecision& d = result.decisions[c];
     d.index = c;
     d.bytes = schedule[c];
-    d.rows = chunk_rows[c];
-    d.stored_bytes = blobs[c].size();
+    d.rows = plan.rows[c];
+    d.stored_bytes = chunks[c].blob.size();
     d.predicted_compute_s =
         comp.kernel_derate() *
         model.kernel_seconds(comp.compress_kernel(), schedule[c]);
     d.predicted_h2d_s = gpu ? model.h2d().seconds(schedule[c]) : 0.0;
     d.realized_compute_s = result.timeline.tasks[reduce_id[c]].duration();
     d.realized_h2d_s = result.timeline.tasks[h2d_id[c]].duration();
-    d.fallback = tags[c] == kTagRaw;
-    d.retries = retries[c];
-    d.worker = workers[c];
+    d.fallback = !chunks[c].ok;
+    d.retries = chunks[c].retries;
+    d.worker = chunks[c].worker;
   }
 
   // Container (v2: per-chunk codec tag + checksum framing). The header and
@@ -631,24 +728,25 @@ CompressResult compress(const Device& dev, const Compressor& comp,
   head.put_u8(static_cast<std::uint8_t>(shape.rank()));
   for (std::size_t d = 0; d < shape.rank(); ++d) head.put_varint(shape[d]);
   head.put_u8(static_cast<std::uint8_t>(opts.mode));
-  head.put_varint(blobs.size());
+  head.put_varint(nchunks);
   std::vector<std::size_t> blob_off(nchunks);
   std::size_t payload = 0;
   for (std::size_t c = 0; c < nchunks; ++c) {
-    head.put_varint(chunk_rows[c]);
-    head.put_varint(blobs[c].size());
-    head.put_u8(tags[c]);
-    head.put_u64(checksums[c]);
+    head.put_varint(plan.rows[c]);
+    head.put_varint(chunks[c].blob.size());
+    head.put_u8(chunks[c].ok ? kTagCodec : kTagRaw);
+    head.put_u64(chunks[c].checksum);
     blob_off[c] = payload;
-    payload += blobs[c].size();
+    payload += chunks[c].blob.size();
   }
   result.stream = head.take();
   const std::size_t base = result.stream.size();
   result.stream.resize(base + payload);
   ThreadPool::instance().parallel_for(nchunks, [&](std::size_t c) {
-    if (!blobs[c].empty())
-      std::memcpy(result.stream.data() + base + blob_off[c], blobs[c].data(),
-                  blobs[c].size());
+    const std::vector<std::uint8_t>& blob = chunks[c].blob;
+    if (!blob.empty())
+      std::memcpy(result.stream.data() + base + blob_off[c], blob.data(),
+                  blob.size());
   });
   ins.compress_stored_bytes.add(result.stream.size());
   return result;
@@ -662,137 +760,35 @@ DecompressResult decompress_rows(const Device& dev, const Compressor& comp,
   HPDR_REQUIRE(row_begin < row_end && row_end <= shape[0],
                "row range [" << row_begin << ", " << row_end
                              << ") out of bounds");
-  Instruments::get().rows_calls.add();
+  auto& ins = Instruments::get();
+  ins.rows_calls.add();
   telemetry::Span span_all("pipeline.decompress_rows", "pipeline");
-  HPDR_REQUIRE(!is_progressive_stream(stream),
-               "v3 progressive container: decode through "
-               "pipeline::ProgressiveReader (refine to a bound)");
-  ByteReader in(stream);
-  const Header h = parse_header(in);
-  check_stream_matches(h, comp, shape, dtype);
-  const std::size_t nchunks = h.rows.size();
-  const Slabs slabs(shape, dtype);
+  DecompressResult result;
+  const RangePlan p =
+      decode_range(dev, comp, stream, static_cast<std::uint8_t*>(out), shape,
+                   dtype, row_begin, row_end, opts, result);
+  ins.rows_chunks_skipped.add(p.h.chunks.size() - (p.last - p.first));
+
+  // Bill only the touched chunks, queues assigned in touched order.
   const GpuPerfModel model(dev.spec());
   const bool gpu = dev.spec().is_gpu();
-  auto* out_bytes = static_cast<std::uint8_t*>(out);
-
-  DecompressResult result;
-
-  // Serial planning pass over the chunk table: which chunks overlap the row
-  // range, where their blobs sit, and where their rows land in the output.
-  struct Touched {
-    std::size_t c;            ///< chunk index in the stream
-    std::size_t blob_off;     ///< payload-relative blob offset
-    std::size_t c_begin;      ///< first tensor row of the chunk
-    std::size_t ov_begin;     ///< overlap with [row_begin, row_end)
-    std::size_t ov_end;
-    std::size_t written_off;  ///< byte offset into `out`
-  };
-  const std::uint8_t* payload =
-      stream.data() + (stream.size() - in.remaining());
-  std::vector<Touched> touched;
-  std::size_t off = 0;
-  std::size_t row = 0;
-  std::size_t written = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::size_t c_begin = row;
-    const std::size_t c_end = row + h.rows[c];
-    HPDR_REQUIRE(c_end <= slabs.rows, "chunks overrun the tensor");
-    row = c_end;
-    const std::size_t blob_off = off;
-    off += h.sizes[c];
-    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
-    if (c_end <= row_begin || c_begin >= row_end) {  // skip chunk
-      Instruments::get().rows_chunks_skipped.add();
-      continue;
-    }
-    const std::size_t ov_begin = std::max(c_begin, row_begin);
-    const std::size_t ov_end = std::min(c_end, row_end);
-    touched.push_back({c, blob_off, c_begin, ov_begin, ov_end, written});
-    written += (ov_end - ov_begin) * slabs.slab_bytes;
-  }
-  HPDR_REQUIRE(written == (row_end - row_begin) * slabs.slab_bytes,
-               "row range not fully covered by chunks");
-
-  // Decode the touched chunks in parallel. Fully-covered chunks decode
-  // straight into the output; boundary chunks decode into the per-thread
-  // pooled scratch and crop to the overlapping rows.
-  auto& pool = ThreadPool::instance();
-  pool.reset_peak();
-  const KernelWidthSplit split(touched.size(), dev);
-  std::vector<std::uint8_t> chunk_ok(touched.size(), 1);
-  std::vector<std::uint8_t> cache_hit(touched.size(), 0);
-  std::vector<std::uint8_t> cache_miss(touched.size(), 0);
-  std::vector<double> codec_secs(touched.size(), 0.0);
-  std::vector<double> hit_secs(touched.size(), 0.0);
-  // Overlapping subdomain reads are the dedup cache's decode sweet spot:
-  // a boundary chunk decoded for one row range hits for every neighbouring
-  // range that touches the same chunk.
-  ChunkCacheBase* const cache = cache_for(opts);
-  const std::uint64_t meta_base =
-      cache != nullptr
-          ? cache_meta_base(kCacheRawSalt, h.compressor, h.dtype, shape, 0.0)
-          : 0;
-  const telemetry::TraceContext trace = telemetry::current_trace();
-  const fault::CancelToken cancel = fault::current_cancel();
-  pool.parallel_for(touched.size(), [&](std::size_t i) {
-    const telemetry::TraceScope trace_scope(trace);
-    const fault::CancelScope cancel_scope(cancel);
-    fault::poll_cancel();
-    split.apply();
-    const Touched& t = touched[i];
-    const std::size_t c = t.c;
-    const Shape chunk_shape = slabs.chunk_shape(shape, h.rows[c]);
-    const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-    const std::span<const std::uint8_t> blob{payload + t.blob_off,
-                                             h.sizes[c]};
-    if (t.ov_begin == t.c_begin &&
-        t.ov_end == t.c_begin + h.rows[c]) {
-      chunk_ok[i] = decode_chunk(dev, comp, h, c, blob,
-                                 out_bytes + t.written_off, chunk_shape,
-                                 chunk_bytes, opts.recovery, cache, meta_base,
-                                 cache_hit[i], cache_miss[i], codec_secs[i],
-                                 hit_secs[i]);
-    } else {
-      auto& scratch = decode_scratch(chunk_bytes);
-      chunk_ok[i] = decode_chunk(dev, comp, h, c, blob, scratch.data(),
-                                 chunk_shape, chunk_bytes, opts.recovery,
-                                 cache, meta_base, cache_hit[i],
-                                 cache_miss[i], codec_secs[i], hit_secs[i]);
-      std::memcpy(
-          out_bytes + t.written_off,
-          scratch.data() + (t.ov_begin - t.c_begin) * slabs.slab_bytes,
-          (t.ov_end - t.ov_begin) * slabs.slab_bytes);
-    }
-  });
-  Instruments::get().pool_occupancy.observe(pool.peak_active());
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    if (!chunk_ok[i]) result.corrupt_chunks.push_back(touched[i].c);
-    result.cache_hits += cache_hit[i];
-    result.cache_misses += cache_miss[i];
-    result.codec_s += codec_secs[i];
-    result.cache_hit_s += hit_secs[i];
-  }
-
-  // Bill only the touched chunks (queue assignment follows touched order,
-  // exactly as the serial loop billed them).
   HdemSimulator sim(3);
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    const Touched& t = touched[i];
-    const auto q = static_cast<std::uint32_t>(i % 3);
+  for (std::size_t c = p.first; c < p.last; ++c) {
+    const ChunkEntry& e = p.h.chunks[c];
+    const auto q = static_cast<std::uint32_t>((c - p.first) % 3);
+    const std::size_t overlap = std::min(e.row_begin + e.rows, row_end) -
+                                std::max(e.row_begin, row_begin);
     sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[t.c]) : 0.0);
+               gpu ? model.h2d().seconds(e.size) : 0.0);
     sim.submit(q, EngineId::Compute, "reconstruct",
                comp.kernel_derate() *
                    model.kernel_seconds(comp.decompress_kernel(),
-                                        h.rows[t.c] * slabs.slab_bytes));
+                                        e.rows * p.slab_bytes));
     sim.submit(q, EngineId::D2H, "copy-out",
-               gpu ? model.d2h().seconds((t.ov_end - t.ov_begin) *
-                                         slabs.slab_bytes)
-                   : 0.0);
+               gpu ? model.d2h().seconds(overlap * p.slab_bytes) : 0.0);
   }
   result.timeline = sim.run();
-  result.raw_bytes = written;
+  result.raw_bytes = (row_end - row_begin) * p.slab_bytes;
   return result;
 }
 
@@ -804,10 +800,10 @@ StreamInfo inspect(std::span<const std::uint8_t> stream) {
   info.compressor = h.compressor;
   info.dtype = h.dtype;
   info.shape = h.shape;
-  info.num_chunks = h.rows.size();
+  info.num_chunks = h.chunks.size();
   info.version = h.version;
-  for (std::uint8_t t : h.tags)
-    if (t == kTagRaw) ++info.fallback_chunks;
+  for (const ChunkEntry& e : h.chunks)
+    if (e.tag == kTagRaw) ++info.fallback_chunks;
   return info;
 }
 
@@ -818,87 +814,23 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
   auto& ins = Instruments::get();
   ins.decompress_calls.add();
   telemetry::Span span_all("pipeline.decompress", "pipeline");
-  HPDR_REQUIRE(!is_progressive_stream(stream),
-               "v3 progressive container: decode through "
-               "pipeline::ProgressiveReader (refine to a bound)");
-  ByteReader in(stream);
-  const Header h = parse_header(in);
-  check_stream_matches(h, comp, shape, dtype);
-  const std::size_t nchunks = h.rows.size();
-
-  const Slabs slabs(shape, dtype);
-  const GpuPerfModel model(dev.spec());
-  const bool gpu = dev.spec().is_gpu();
-  auto* out_bytes = static_cast<std::uint8_t*>(out);
-  const bool pipelined = opts.overlap;
-  const double page = pipelined ? 1.0 : kPageablePenalty;
-
-  // Decode chunks (eager, like compression) and verify coverage. Corrupt
-  // chunks zero-fill under ChunkRecovery::Skip — partial reconstruction —
-  // and reject the stream under Strict. The chunk table gives every blob's
-  // offset and every chunk's output rows up front, so the decode loop fans
-  // out across the pool; corrupt-chunk indices gather in order afterwards.
   DecompressResult result;
-  {
-    telemetry::Span span("pipeline.decode", "pipeline");
-    const std::uint8_t* payload =
-        stream.data() + (stream.size() - in.remaining());
-    std::vector<std::size_t> blob_off(nchunks);
-    std::vector<std::size_t> row_begin(nchunks);
-    std::size_t off = 0;
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      HPDR_REQUIRE(row + h.rows[c] <= slabs.rows,
-                   "chunks overrun the tensor");
-      blob_off[c] = off;
-      row_begin[c] = row;
-      off += h.sizes[c];
-      row += h.rows[c];
-    }
-    HPDR_REQUIRE(off <= in.remaining(), "chunk blobs exceed container size");
-    HPDR_REQUIRE(row == slabs.rows, "chunks do not cover the tensor");
-    auto& pool = ThreadPool::instance();
-    pool.reset_peak();
-    const KernelWidthSplit split(nchunks, dev);
-    std::vector<std::uint8_t> chunk_ok(nchunks, 1);
-    std::vector<std::uint8_t> cache_hit(nchunks, 0);
-    std::vector<std::uint8_t> cache_miss(nchunks, 0);
-    std::vector<double> codec_secs(nchunks, 0.0);
-    std::vector<double> hit_secs(nchunks, 0.0);
-    ChunkCacheBase* const cache = cache_for(opts);
-    const std::uint64_t meta_base =
-        cache != nullptr ? cache_meta_base(kCacheRawSalt, h.compressor,
-                                           h.dtype, shape, 0.0)
-                         : 0;
-    const telemetry::TraceContext trace = telemetry::current_trace();
-    const fault::CancelToken cancel = fault::current_cancel();
-    pool.parallel_for(nchunks, [&](std::size_t c) {
-      const telemetry::TraceScope trace_scope(trace);
-      const fault::CancelScope cancel_scope(cancel);
-      fault::poll_cancel();
-      split.apply();
-      const Shape chunk_shape = slabs.chunk_shape(shape, h.rows[c]);
-      const std::size_t chunk_bytes = h.rows[c] * slabs.slab_bytes;
-      chunk_ok[c] = decode_chunk(
-          dev, comp, h, c, {payload + blob_off[c], h.sizes[c]},
-          out_bytes + row_begin[c] * slabs.slab_bytes, chunk_shape,
-          chunk_bytes, opts.recovery, cache, meta_base, cache_hit[c],
-          cache_miss[c], codec_secs[c], hit_secs[c]);
-    });
-    ins.pool_occupancy.observe(pool.peak_active());
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      if (!chunk_ok[c]) result.corrupt_chunks.push_back(c);
-      result.cache_hits += cache_hit[c];
-      result.cache_misses += cache_miss[c];
-      result.codec_s += codec_secs[c];
-      result.cache_hit_s += hit_secs[c];
-    }
-  }
+  telemetry::Span span_decode("pipeline.decode", "pipeline");
+  const RangePlan p =
+      decode_range(dev, comp, stream, static_cast<std::uint8_t*>(out), shape,
+                   dtype, 0, shape[0], opts, result);
+  span_decode.end();
+  const std::vector<ChunkEntry>& chunks = p.h.chunks;
+  const std::size_t nchunks = chunks.size();
 
   // HDEM reconstruction DAG (Fig. 9 bottom) with the launch-order
   // optimization: chunk c+1's deserialize is issued before chunk c's
   // output copy so both D2H-engine clients don't serialize behind the
   // (large) output copy.
+  const GpuPerfModel model(dev.spec());
+  const bool gpu = dev.spec().is_gpu();
+  const bool pipelined = opts.overlap;
+  const double page = pipelined ? 1.0 : kPageablePenalty;
   HdemSimulator sim(3);
   std::vector<std::uint32_t> comp_id(nchunks);
   std::vector<std::uint32_t> copyout_id(nchunks);
@@ -907,16 +839,17 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
         pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
     copyout_id[c] = sim.submit(
         q, EngineId::D2H, "copy-out",
-        gpu ? model.d2h().seconds(h.rows[c] * slabs.slab_bytes) / page
+        gpu ? model.d2h().seconds(chunks[c].rows * p.slab_bytes) / page
             : 0.0);
   };
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::uint32_t q =
         pipelined ? static_cast<std::uint32_t>(c % 3) : 0;
+    const std::size_t chunk_bytes = chunks[c].rows * p.slab_bytes;
     if (!comp.uses_context_cache()) {
       const double alloc_s =
           gpu ? comp.allocs_per_call() *
-                    model.alloc_seconds(h.rows[c] * slabs.slab_bytes /
+                    model.alloc_seconds(chunk_bytes /
                                         std::max(1, comp.allocs_per_call()))
               : 0.0;
       sim.submit(q, EngineId::Compute, "alloc", alloc_s);
@@ -925,7 +858,7 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
     std::vector<std::uint32_t> in_deps;
     if (pipelined && c >= 2) in_deps.push_back(comp_id[c - 2]);
     sim.submit(q, EngineId::H2D, "copy-in",
-               gpu ? model.h2d().seconds(h.sizes[c]) / page : 0.0, {},
+               gpu ? model.h2d().seconds(chunks[c].size) / page : 0.0, {},
                std::move(in_deps));
     // Default (unoptimized) order: the previous output copy is issued to
     // the D2H engine before this chunk's deserialization, delaying it.
@@ -939,8 +872,7 @@ DecompressResult decompress(const Device& dev, const Compressor& comp,
     comp_id[c] = sim.submit(
         q, EngineId::Compute, "reconstruct",
         comp.kernel_derate() *
-            model.kernel_seconds(comp.decompress_kernel(),
-                                 h.rows[c] * slabs.slab_bytes),
+            model.kernel_seconds(comp.decompress_kernel(), chunk_bytes),
         {}, std::move(k_deps));
     if (opts.reorder_launches && c >= 1) submit_copyout(c - 1);
   }

@@ -11,7 +11,6 @@
 #include "fault/cancel.hpp"
 #include "pipeline/adaptive.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/trace_context.hpp"
 
 namespace hpdr::pipeline {
 namespace {
@@ -67,38 +66,25 @@ std::vector<std::uint8_t> progressive_compress(const Device& dev,
   const std::size_t slab_bytes =
       (shape.size() / rows) * dtype_size(dtype);
   const std::size_t total_bytes = shape.size() * dtype_size(dtype);
-  // Same granule rounding as the v2 chunk loop: four-slab granules when
-  // the tensor is tall enough, so the two writers chunk identically and
-  // full refinement can be byte-compared against a v2 decode.
-  const std::size_t granule = rows >= 8 ? 4 * slab_bytes : slab_bytes;
-  std::vector<std::size_t> schedule =
+  // Same granule as the v2 chunk loop, so full refinement can be
+  // byte-compared against a v2 decode.
+  const std::vector<std::size_t> schedule =
       opts.mode == Mode::None
           ? std::vector<std::size_t>{total_bytes}
-          : fixed_schedule(total_bytes, granule, opts.fixed_chunk_bytes);
+          : fixed_schedule(total_bytes, slab_granule(rows, slab_bytes),
+                           opts.fixed_chunk_bytes);
   const std::size_t nchunks = schedule.size();
-  std::vector<std::size_t> chunk_rows(nchunks), row_begin(nchunks);
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    HPDR_ASSERT(schedule[c] % slab_bytes == 0);
-    chunk_rows[c] = schedule[c] / slab_bytes;
-    row_begin[c] = row;
-    row += chunk_rows[c];
-  }
-  HPDR_ASSERT(row == rows);
+  const RowPlan plan = plan_rows(schedule, slab_bytes, rows);
 
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::vector<mgard::ProgressiveChunk> chunks(nchunks);
   std::vector<std::vector<std::uint64_t>> sums(nchunks);
-  const telemetry::TraceContext trace = telemetry::current_trace();
-  const fault::CancelToken cancel = fault::current_cancel();
   ThreadPool::instance().parallel_for(nchunks, [&](std::size_t c) {
-    const telemetry::TraceScope trace_scope(trace);
-    const fault::CancelScope cancel_scope(cancel);
     fault::poll_cancel();
     Shape cshape = shape;
-    cshape[0] = chunk_rows[c];
+    cshape[0] = plan.rows[c];
     chunks[c] = mgard::progressive_encode(
-        dev, bytes + row_begin[c] * slab_bytes, cshape, dtype, opts.param);
+        dev, bytes + plan.begin[c] * slab_bytes, cshape, dtype, opts.param);
     sums[c].reserve(chunks[c].components.size());
     for (const auto& comp : chunks[c].components)
       sums[c].push_back(fnv1a64(comp.payload));
@@ -115,7 +101,7 @@ std::vector<std::uint8_t> progressive_compress(const Device& dev,
   out.put_varint(nchunks);
   for (std::size_t c = 0; c < nchunks; ++c) {
     const auto& ch = chunks[c];
-    out.put_varint(chunk_rows[c]);
+    out.put_varint(plan.rows[c]);
     out.put_u8(ch.mode);
     out.put_f64(ch.abs_eb);
     out.put_f64(ch.eb_scale);

@@ -4,9 +4,9 @@
 /// \file trace_context.hpp
 /// Request tracing for the serving path. A TraceContext is a 64-bit trace
 /// id (one per svc job) plus the span id of the innermost open span, and it
-/// propagates thread-locally: svc mints a trace when a job is admitted,
-/// installs it with a TraceScope for the job's lifetime, and re-installs it
-/// inside worker lambdas that the pipeline fans out to the thread pool.
+/// propagates thread-locally: svc mints a trace when a job is admitted and
+/// installs it with a TraceScope for the job's lifetime; ThreadPool carries
+/// it into every parallel_for body it runs on another thread.
 /// Every Span created while a trace is installed records (trace id, span
 /// id, parent span id), so the whole journey — admission, arena lease,
 /// encode/decode, codec calls, BPLite I/O — is attributable to one request
@@ -42,9 +42,9 @@ std::string trace_id_hex(std::uint64_t id);
 
 /// RAII: install `ctx` as the calling thread's trace context, restoring
 /// the previous context on destruction. Used at trace roots (svc job
-/// start) and to carry a trace across thread-pool fan-out: capture
-/// current_trace() before parallel_for, construct a TraceScope with it
-/// inside the worker lambda.
+/// start) and by ThreadPool, which installs a batch's captured context on
+/// each thread that runs part of it; parallel_for bodies need no scope of
+/// their own.
 class TraceScope {
  public:
   explicit TraceScope(TraceContext ctx);

@@ -270,6 +270,52 @@ TEST_F(ChunkCacheTest, PartialRetrievalSharesTheDecodeCache) {
             0);
 }
 
+TEST_F(ChunkCacheTest, FullDecodeAndFullRowRangeAgreeOnCorruptStream) {
+  // decompress and decompress_rows(0, rows) run one decode loop: on a
+  // stream with a corrupt chunk under Skip recovery, with the cache on,
+  // they give the same bytes, corrupt chunks and cache outcome, cold and
+  // warm.
+  const auto ds = data::make("nyx", data::Size::Tiny);
+  const Device dev = Device::serial();
+  auto comp = make_compressor("zfp-x");
+  pipeline::Options opts = chunked_opts();
+  fault::Injector::instance().configure("chunk.corrupt:nth=1,flip=2", 1);
+  const auto cr =
+      pipeline::compress(dev, *comp, ds.data(), ds.shape, ds.dtype, opts);
+  fault::Injector::instance().disarm();
+  ASSERT_GT(cr.chunk_rows.size(), 2u);
+  opts.recovery = pipeline::ChunkRecovery::Skip;
+  svc::ChunkCache full_cache(
+      std::make_shared<svc::ArenaBudget>(std::size_t{64} << 20));
+  svc::ChunkCache rows_cache(
+      std::make_shared<svc::ArenaBudget>(std::size_t{64} << 20));
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    std::vector<std::uint8_t> full(ds.size_bytes(), 0xAB);
+    std::vector<std::uint8_t> rows(ds.size_bytes(), 0xCD);
+    opts.cache = &full_cache;
+    const auto fr = pipeline::decompress(dev, *comp, cr.stream, full.data(),
+                                         ds.shape, ds.dtype, opts);
+    opts.cache = &rows_cache;
+    const auto rr =
+        pipeline::decompress_rows(dev, *comp, cr.stream, rows.data(),
+                                  ds.shape, ds.dtype, 0, ds.shape[0], opts);
+    EXPECT_EQ(full, rows);
+    ASSERT_EQ(fr.corrupt_chunks.size(), 1u);
+    EXPECT_EQ(fr.corrupt_chunks, rr.corrupt_chunks);
+    EXPECT_EQ(fr.cache_hits, rr.cache_hits);
+    EXPECT_EQ(fr.cache_misses, rr.cache_misses);
+    EXPECT_EQ(fr.raw_bytes, rr.raw_bytes);
+  }
+  // Warm: every clean chunk hit; the corrupt one is never cached.
+  std::vector<std::uint8_t> out(ds.size_bytes());
+  opts.cache = &full_cache;
+  const auto warm = pipeline::decompress(dev, *comp, cr.stream, out.data(),
+                                         ds.shape, ds.dtype, opts);
+  EXPECT_EQ(warm.cache_hits, cr.chunk_rows.size() - 1);
+  EXPECT_EQ(warm.cache_misses, 1u);
+}
+
 TEST_F(ChunkCacheTest, ArmedFaultPlanBypassesTheCache) {
   const auto ds = data::make("nyx", data::Size::Tiny);
   const Device dev = Device::serial();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -149,6 +150,45 @@ TEST(CancelToken, ScopeInstallsAmbientTokenAndRestores) {
     EXPECT_NO_THROW(fault::poll_cancel());
   }
   EXPECT_FALSE(fault::current_cancel().valid());
+}
+
+TEST(CancelToken, PoolWorkersPollTheCallersToken) {
+  // The pool carries the caller's ambient token to its workers: a body
+  // that polls only on worker threads still aborts the batch, and
+  // parallel_for rethrows the cancellation on the caller.
+  ThreadPool::instance().resize(4);
+  auto tok = fault::CancelToken::make();
+  tok.cancel();
+  std::atomic<bool> worker_polled{false};
+  const auto body = [&](std::size_t) {
+    if (ThreadPool::worker_id() == 0) {
+      // The caller leaves the polling to the workers; it waits (bounded)
+      // until one of them has run an index.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!worker_polled.load() &&
+             std::chrono::steady_clock::now() < give_up)
+        std::this_thread::yield();
+      return;
+    }
+    worker_polled.store(true);
+    fault::poll_cancel();
+  };
+  ErrorKind kind = ErrorKind::Internal;
+  bool threw = false;
+  {
+    const fault::CancelScope scope(tok);
+    try {
+      ThreadPool::instance().parallel_for(std::size_t{64}, body);
+    } catch (const Error& e) {
+      threw = true;
+      kind = e.kind();
+    }
+  }
+  ThreadPool::instance().resize(ThreadPool::default_threads());
+  EXPECT_TRUE(worker_polled.load());
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(kind, ErrorKind::Cancelled);
 }
 
 // --- Retry under cancellation -------------------------------------------

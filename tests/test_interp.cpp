@@ -80,7 +80,7 @@ TEST(Interp, BeatsLorenzoOnRealisticData) {
             std::sin(0.05f * float(k)) + noise(rng);
   for (double eb : {1e-3, 1e-4}) {
     auto interp = compress_interp(dev, a.view(), eb);
-    auto lorenzo = compress(dev, a.view(), eb);
+    auto lorenzo = compress_dualquant(dev, a.view(), eb);
     EXPECT_LT(interp.size(), lorenzo.size()) << "eb=" << eb;
     auto back = decompress_interp_f32(dev, interp);
     EXPECT_LE(compute_error_stats(a.span(), back.span()).max_rel_error, eb);
@@ -90,7 +90,7 @@ TEST(Interp, BeatsLorenzoOnRealisticData) {
   NDView<const float> v(reinterpret_cast<const float*>(ds.data()),
                         ds.shape);
   EXPECT_LT(compress_interp(dev, v, 1e-4).size(),
-            compress(dev, v, 1e-4).size());
+            compress_dualquant(dev, v, 1e-4).size());
 }
 
 TEST(Interp, DoublePrecision) {

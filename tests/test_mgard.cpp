@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
@@ -81,8 +82,11 @@ TEST(TridiagSolverTest, SolvesMassSystem) {
   }
 }
 
+// The device name is a std::string, not a const char*: gtest prints a
+// pointer inside a tuple by its address, which would give the test a
+// different name on every run.
 class TransformInvertibility
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(TransformInvertibility, DecomposeRecomposeIsIdentity) {
   const auto& [devname, rank] = GetParam();

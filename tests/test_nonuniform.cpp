@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
@@ -85,8 +86,11 @@ TEST(NonUniform, InterpolationWeightsMatchSpacings) {
   EXPECT_DOUBLE_EQ(ops.wr[0], 1.0 / 4.0);
 }
 
+// The device name is a std::string, not a const char*: gtest prints a
+// pointer inside a tuple by its address, which would give the test a
+// different name on every run.
 class NonUniformInvertibility
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(NonUniformInvertibility, DecomposeRecomposeIsIdentity) {
   const auto& [devname, rank] = GetParam();

@@ -12,6 +12,7 @@
 #include "algorithms/mgard/mgard.hpp"
 #include "algorithms/mgard/refactor.hpp"
 #include "core/bitstream.hpp"
+#include "core/checksum.hpp"
 #include "compressor/compressor.hpp"
 #include "core/stats.hpp"
 #include "data/generators.hpp"
@@ -152,6 +153,46 @@ TEST(CorruptStreamsExtra, HostileHeaderSizesAreRejectedBeforeAllocation) {
   w.put_varint(0);
   auto forged = w.take();
   EXPECT_THROW(mgard::decompress_f32(dev, forged), Error);
+}
+
+TEST(CorruptStreamsExtra, ForgedChunkRowsThatWrapAreRejected) {
+  // A v2 chunk table whose row counts wrap around 2^64 back to the tensor
+  // height, with valid frame checksums: the parser must reject it, not
+  // hand a chunk of 2^64-1 rows to the decode loop (under Skip recovery it
+  // would zero-fill a wrapped chunk size).
+  const Device dev = Device::serial();
+  auto comp = make_compressor("nvcomp-lz4");
+  const Shape shape{4, 16};
+  const std::vector<std::uint8_t> blob = {1, 2, 3};
+  ByteWriter w;
+  w.put_u8(0x48);  // pipeline container magic
+  w.put_u8(2);     // framed v2
+  w.put_string(comp->name());
+  w.put_u8(0);  // f32
+  w.put_u8(2);  // rank
+  w.put_varint(shape[0]);
+  w.put_varint(shape[1]);
+  w.put_u8(1);  // Fixed
+  const std::uint64_t rows[] = {1, ~std::uint64_t{0}, 4};  // sums to 4
+  w.put_varint(3);
+  for (std::uint64_t r : rows) {
+    w.put_varint(r);
+    w.put_varint(blob.size());
+    w.put_u8(0);  // codec-tagged
+    w.put_u64(fnv1a64(blob));
+  }
+  for (int c = 0; c < 3; ++c) w.put_bytes(blob);
+  const auto forged = w.take();
+  pipeline::Options opts;
+  opts.recovery = pipeline::ChunkRecovery::Skip;
+  std::vector<float> out(shape.size());
+  EXPECT_THROW(pipeline::decompress(dev, *comp, forged, out.data(), shape,
+                                    DType::F32, opts),
+               Error);
+  EXPECT_THROW(pipeline::decompress_rows(dev, *comp, forged, out.data(),
+                                         shape, DType::F32, 0, 4, opts),
+               Error);
+  EXPECT_THROW(pipeline::inspect(forged), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <random>
+#include <set>
 #include <thread>
 
 #include "compressor/compressor.hpp"
@@ -761,17 +764,18 @@ TEST(TelemetryTracing, SpansRecordLineageAndTimelineFilters) {
 }
 
 TEST(TelemetryTracing, ContextSurvivesParallelFor) {
-  // The pipeline pattern: capture before fan-out, install inside workers.
+  // The pool carries the caller's trace into its workers: bodies install
+  // nothing themselves.
   telemetry::SpanLog::instance().clear();
   ThreadPool::instance().resize(4);  // real workers even on a 1-core host
   const std::uint64_t trace = telemetry::mint_trace_id();
   {
     const telemetry::TraceScope ts({trace, 0});
     telemetry::Span root("svc.job", "svc");
-    const telemetry::TraceContext ctx = telemetry::current_trace();
     ThreadPool::instance().parallel_for(std::size_t{8}, [&](std::size_t) {
-      const telemetry::TraceScope inner(ctx);
       telemetry::Span work("chunk.encode", "pipeline");
+      // Long enough that the workers claim some of the indices.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
   }
   const auto spans = telemetry::SpanLog::instance().for_trace(trace);
@@ -796,6 +800,104 @@ TEST(TelemetryTracing, ContextSurvivesParallelFor) {
   }
   telemetry::SpanLog::instance().clear();
   ThreadPool::instance().resize(ThreadPool::default_threads());
+}
+
+TEST(TelemetryTracing, UntracedBatchAfterTracedBatchStaysUntraced) {
+  // Workers that ran a traced batch give the trace back when they leave
+  // it: the next batch, issued from an untraced thread, records only
+  // trace-0 spans on every thread that runs it.
+  telemetry::SpanLog::instance().clear();
+  ThreadPool::instance().resize(4);
+  const auto body = [](const char* name) {
+    return [name](std::size_t) {
+      telemetry::Span work(name, "pipeline");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+  };
+  const std::uint64_t trace = telemetry::mint_trace_id();
+  {
+    const telemetry::TraceScope ts({trace, 0});
+    ThreadPool::instance().parallel_for(std::size_t{32}, body("traced"));
+  }
+  ASSERT_FALSE(telemetry::current_trace().active());
+  ThreadPool::instance().parallel_for(std::size_t{32}, body("untraced"));
+  std::set<std::uint32_t> traced_threads;
+  std::set<std::uint32_t> untraced_threads;
+  std::size_t traced = 0;
+  std::size_t untraced = 0;
+  for (const auto& s : telemetry::SpanLog::instance().snapshot()) {
+    if (s.name == "traced") {
+      ++traced;
+      traced_threads.insert(s.thread);
+      EXPECT_EQ(s.trace_id, trace) << "thread " << s.thread;
+    } else if (s.name == "untraced") {
+      ++untraced;
+      untraced_threads.insert(s.thread);
+      EXPECT_EQ(s.trace_id, 0u) << "thread " << s.thread;
+    }
+  }
+  EXPECT_EQ(traced, 32u);
+  EXPECT_EQ(untraced, 32u);
+  // Both batches really ran on pool workers, not only on the caller.
+  EXPECT_GT(traced_threads.size(), 1u);
+  EXPECT_GT(untraced_threads.size(), 1u);
+  telemetry::SpanLog::instance().clear();
+  ThreadPool::instance().resize(ThreadPool::default_threads());
+}
+
+TEST(TelemetryTracing, JoiningCallerRunsOtherBatchUnderItsTraceThenRestores) {
+  // A caller waiting on its own batch helps run another caller's queued
+  // batch: it runs those ranges under the other caller's trace, then gets
+  // its own trace back.
+  ThreadPool::instance().resize(2);  // one worker
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!flag.load() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  };
+  const std::uint64_t mine = telemetry::mint_trace_id();
+  const std::uint64_t theirs = telemetry::mint_trace_id();
+  const std::thread::id me = std::this_thread::get_id();
+  std::atomic<bool> worker_busy{false};
+  std::atomic<bool> other_started{false};
+  std::atomic<bool> helped{false};
+  std::atomic<bool> other_done{false};
+  std::atomic<std::uint64_t> helped_trace{0};
+  std::thread other;
+  {
+    const telemetry::TraceScope ts({mine, 0});
+    ThreadPool::instance().parallel_for(std::size_t{2}, [&](std::size_t) {
+      if (ThreadPool::worker_id() != 0) {
+        // The worker holds its index until the other batch is over, so
+        // only this caller, joining, can run the other batch's ticket.
+        worker_busy = true;
+        wait_for(other_done);
+        return;
+      }
+      wait_for(worker_busy);
+      if (other.joinable()) return;
+      other = std::thread([&] {
+        const telemetry::TraceScope other_ts({theirs, 0});
+        ThreadPool::instance().parallel_for(std::size_t{2}, [&](std::size_t) {
+          if (std::this_thread::get_id() == me) {
+            helped_trace = telemetry::current_trace().trace_id;
+            helped = true;
+          } else {
+            other_started = true;
+            wait_for(helped);
+          }
+        });
+        other_done = true;
+      });
+      wait_for(other_started);
+    });
+    EXPECT_EQ(telemetry::current_trace().trace_id, mine);
+  }
+  other.join();
+  ThreadPool::instance().resize(ThreadPool::default_threads());
+  EXPECT_TRUE(helped.load());
+  EXPECT_EQ(helped_trace.load(), theirs);
 }
 
 // ---------------------------------------------------------------------------
