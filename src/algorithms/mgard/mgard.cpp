@@ -25,11 +25,6 @@ constexpr std::uint8_t kModeLossy = 1;
 constexpr std::int64_t kRadius = 1 << 15;
 constexpr std::size_t kAlphabet = 2 * kRadius + 1;
 
-template <class T>
-constexpr std::uint8_t dtype_of() {
-  return sizeof(T) == 4 ? 0 : 1;
-}
-
 using Coords = std::vector<std::vector<double>>;
 
 std::uint64_t coords_hash(const Coords& coords) {
@@ -150,10 +145,7 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   }
   out.put_u8(kModeLossy);
 
-  const auto range = value_range(data.span());
-  double abs_eb = rel_eb * static_cast<double>(range.extent());
-  if (abs_eb <= 0)  // constant field: any positive bin works
-    abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
+  const double abs_eb = abs_error_bound(value_range(data.span()), rel_eb);
   out.put_f64(abs_eb);
   out.put_f64(snorm);
   // Grid block: coordinates travel with the stream so reconstruction on
@@ -233,17 +225,14 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
 
 template <class T>
 NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
+                           std::span<const std::uint8_t> stream,
+                           std::size_t expect_size) {
   ByteReader in(stream);
   HPDR_REQUIRE(in.get_u8() == kMagic, "not an MGARD stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "MGARD stream version mismatch");
   HPDR_REQUIRE(in.get_u8() == dtype_of<T>(), "MGARD dtype mismatch");
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= kMaxRank, "corrupt MGARD rank");
-  Shape orig = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() > 0 && orig.size() <= (std::size_t{1} << 40),
-               "implausible MGARD tensor size");
+  const Shape orig = get_shape(in, expect_size, "MGARD");
+  const std::size_t rank = orig.rank();
   NDArray<T> result(orig);
 
   const std::uint8_t mode = in.get_u8();
@@ -369,12 +358,14 @@ std::vector<std::uint8_t> compress_nonuniform(
   return compress_impl(dev, data, rel_eb, s, coords);
 }
 NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+                              std::span<const std::uint8_t> stream,
+                              std::size_t expect_size) {
+  return decompress_impl<float>(dev, stream, expect_size);
 }
 NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+                               std::span<const std::uint8_t> stream,
+                               std::size_t expect_size) {
+  return decompress_impl<double>(dev, stream, expect_size);
 }
 
 }  // namespace hpdr::mgard

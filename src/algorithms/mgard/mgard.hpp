@@ -18,8 +18,6 @@
 #include <span>
 #include <vector>
 
-#include <vector>
-
 #include "adapter/device.hpp"
 #include "core/ndarray.hpp"
 
@@ -60,10 +58,15 @@ std::vector<std::uint8_t> compress_nonuniform(
     const std::vector<std::vector<double>>& coords, double rel_eb,
     double s = 0.0);
 
+/// A non-zero `expect_size` is the element count the caller expects; a
+/// stream whose header claims any other count throws before the decoder
+/// allocates anything sized from that header.
 NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
+                              std::span<const std::uint8_t> stream,
+                              std::size_t expect_size = 0);
 NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
+                               std::span<const std::uint8_t> stream,
+                               std::size_t expect_size = 0);
 
 /// Shape normalization applied before decomposition: size-1 dimensions are
 /// dropped, dimensions smaller than 3 are merged into a neighbour, and the

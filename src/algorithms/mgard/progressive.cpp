@@ -63,9 +63,7 @@ ProgressiveChunk encode_impl(const Device& dev, const T* data,
   ProgressiveChunk out;
   const std::size_t n = orig.size();
   const auto range = value_range(std::span<const T>(data, n));
-  double eb_scale = static_cast<double>(range.extent());
-  if (eb_scale <= 0) eb_scale = std::max(1.0, std::abs(double(range.lo)));
-  out.eb_scale = eb_scale;
+  out.eb_scale = abs_error_bound(range, 1.0);
 
   const Shape shape = normalize_shape(orig);
   if (too_small_to_decompose(shape)) {
@@ -85,8 +83,7 @@ ProgressiveChunk encode_impl(const Device& dev, const T* data,
   out.mode = 1;
   // Identical to the v2 codec: abs_eb from the value range with the
   // constant-field fallback, bins from level_bin_s at s = 0.
-  double abs_eb = rel_eb * static_cast<double>(range.extent());
-  if (abs_eb <= 0) abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
+  const double abs_eb = abs_error_bound(range, rel_eb);
   out.abs_eb = abs_eb;
 
   std::shared_ptr<Hierarchy> h = cached_hierarchy(dev, shape);
@@ -198,8 +195,8 @@ ProgressiveChunk encode_impl(const Device& dev, const T* data,
             for (std::uint64_t u : plan.u)
               bw.put_bit(((u >> pl) & 1) != 0);
         }
-        const auto packed = bw.to_bytes();
-        w.put_bytes(packed);
+        w.put_bytes({reinterpret_cast<const std::uint8_t*>(bw.words().data()),
+                     bw.byte_size()});
       }
       e[si] = lo == 0 ? std::min(bin / 2, plan.max_abs) : plane_bound(lo);
       out.components.push_back({w.take(), chunk_bound()});

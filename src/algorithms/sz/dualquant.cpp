@@ -4,9 +4,8 @@
 #include <cstring>
 
 #include "adapter/abstractions.hpp"
-#include "algorithms/huffman/huffman.hpp"
+#include "algorithms/sz/stream.hpp"
 #include "algorithms/sz/sz.hpp"
-#include "core/bitstream.hpp"
 #include "core/error.hpp"
 #include "core/isa.hpp"
 #include "core/stats.hpp"
@@ -19,15 +18,8 @@ namespace hpdr::sz {
 namespace {
 
 constexpr std::uint8_t kMagic = 0x44;  // 'D'
-constexpr std::uint8_t kVersion = 1;
-using detail::kAlphabet;
 using detail::kMaxPrequant;
 using detail::kRadius;
-
-template <class T>
-constexpr std::uint8_t dtype_of() {
-  return sizeof(T) == 4 ? 0 : 1;
-}
 
 Shape codec_shape(const Shape& s) {
   if (s.rank() <= 3) return s;
@@ -272,10 +264,7 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   HPDR_REQUIRE(rel_eb > 0, "error bound must be positive");
   const Shape orig = data.shape();
   const Shape cs = codec_shape(orig);
-  const auto range = value_range(data.span());
-  double abs_eb = rel_eb * static_cast<double>(range.extent());
-  if (abs_eb <= 0)
-    abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
+  const double abs_eb = abs_error_bound(value_range(data.span()), rel_eb);
   const double bin = 2.0 * abs_eb;
 
   // Phase 1 (prequantization) — embarrassingly parallel, Global
@@ -296,60 +285,22 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   detail::lorenzo_residuals(dev, P.data(), oob.data(), cs, symbols.data());
   // Outliers gathered sequentially (rare path; keeps the parallel stage
   // race free).
-  std::vector<std::pair<std::uint64_t, T>> outliers;
+  std::vector<detail::Outlier<T>> outliers;
   for (std::size_t flat = 0; flat < n; ++flat)
     if (symbols[flat] == 0) outliers.emplace_back(flat, data.data()[flat]);
-
-  ByteWriter out;
-  out.put_u8(kMagic);
-  out.put_u8(kVersion);
-  out.put_u8(dtype_of<T>());
-  out.put_u8(static_cast<std::uint8_t>(orig.rank()));
-  for (std::size_t d = 0; d < orig.rank(); ++d) out.put_varint(orig[d]);
-  out.put_f64(abs_eb);
-  out.put_varint(outliers.size());
-  for (auto [pos, val] : outliers) {
-    out.put_varint(pos);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &val, sizeof(T));
-    out.put_varint(bits);
-  }
-  const auto blob = huffman::encode_u32(dev, symbols, kAlphabet);
-  out.put_varint(blob.size());
-  out.put_bytes(blob);
-  return out.take();
+  return detail::write_stream<T>(dev, kMagic, orig, abs_eb, outliers,
+                                 symbols);
 }
 
 template <class T>
 NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
-  ByteReader in(stream);
-  HPDR_REQUIRE(in.get_u8() == kMagic, "not a dual-quant SZ stream");
-  HPDR_REQUIRE(in.get_u8() == kVersion, "dual-quant stream version");
-  HPDR_REQUIRE(in.get_u8() == dtype_of<T>(), "dual-quant dtype mismatch");
-  const std::size_t rank0 = in.get_u8();
-  HPDR_REQUIRE(rank0 >= 1 && rank0 <= kMaxRank, "corrupt rank");
-  Shape orig = Shape::of_rank(rank0);
-  for (std::size_t d = 0; d < rank0; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() > 0 && orig.size() <= (std::size_t{1} << 40),
-               "implausible tensor size");
-  const double abs_eb = in.get_f64();
-  const double bin = 2.0 * abs_eb;
-  const std::size_t n_outliers = in.get_varint();
-  HPDR_REQUIRE(n_outliers <= orig.size(), "implausible outlier count");
-  std::vector<std::uint8_t> oob(orig.size(), 0);
-  std::vector<T> oob_val(n_outliers ? orig.size() : 0);
-  for (std::size_t o = 0; o < n_outliers; ++o) {
-    const std::size_t pos = in.get_varint();
-    HPDR_REQUIRE(pos < orig.size(), "outlier out of range");
-    const std::uint64_t bits = in.get_varint();
-    oob[pos] = 1;
-    std::memcpy(&oob_val[pos], &bits, sizeof(T));
-  }
-  const std::size_t blob_size = in.get_varint();
-  const auto symbols = huffman::decode_u32(dev, in.get_bytes(blob_size));
+                           std::span<const std::uint8_t> stream,
+                           std::size_t expect_size) {
+  const auto in = detail::read_stream<T>(dev, kMagic, "dual-quant", stream,
+                                         expect_size);
+  const Shape& orig = in.shape;
+  const double bin = 2.0 * in.abs_eb;
   const Shape cs = codec_shape(orig);
-  HPDR_REQUIRE(symbols.size() == cs.size(), "symbol count mismatch");
 
   // Rebuild P with a raster scan: each element's Lorenzo neighbours have
   // strictly smaller raster indices, so one forward pass suffices. The
@@ -374,18 +325,19 @@ NDArray<T> decompress_impl(const Device& dev,
     T* res = result.data() + row * g.nk;
     for (std::size_t k = 0; k < g.nk; ++k) {
       const std::size_t flat = row * g.nk + k;
-      const std::uint32_t sym = symbols[flat];
+      const std::uint32_t sym = in.symbols[flat];
       if (sym == 0) {
-        HPDR_REQUIRE(oob[flat], "outlier marker without stored value");
+        HPDR_REQUIRE(in.is_outlier[flat],
+                     "outlier marker without stored value");
         // Reproduce the encoder's lattice value from the exact stored
         // value.
-        const double q =
-            std::nearbyint(static_cast<double>(oob_val[flat]) / bin);
+        const double q = std::nearbyint(
+            static_cast<double>(in.outlier_value[flat]) / bin);
         cur[k] = std::isfinite(q)
                      ? static_cast<std::int64_t>(
                            std::clamp(q, -kMaxPrequant, kMaxPrequant))
                      : 0;
-        res[k] = oob_val[flat];
+        res[k] = in.outlier_value[flat];
       } else {
         std::int64_t pred = up[k] + back[k] - upback[k];
         if (k > 0)
@@ -412,13 +364,15 @@ std::vector<std::uint8_t> compress_dualquant(const Device& dev,
                                              double rel_eb) {
   return compress_impl(dev, data, rel_eb);
 }
-NDArray<float> decompress_dualquant_f32(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+NDArray<float> decompress_dualquant_f32(const Device& dev,
+                                        std::span<const std::uint8_t> stream,
+                                        std::size_t expect_size) {
+  return decompress_impl<float>(dev, stream, expect_size);
 }
-NDArray<double> decompress_dualquant_f64(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+NDArray<double> decompress_dualquant_f64(const Device& dev,
+                                         std::span<const std::uint8_t> stream,
+                                         std::size_t expect_size) {
+  return decompress_impl<double>(dev, stream, expect_size);
 }
 
 }  // namespace hpdr::sz

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <limits>
 
-#include "algorithms/huffman/huffman.hpp"
-#include "core/bitstream.hpp"
+#include "algorithms/sz/stream.hpp"
+#include "algorithms/sz/sz.hpp"
 #include "core/error.hpp"
 #include "core/stats.hpp"
 
@@ -14,14 +14,7 @@ namespace hpdr::sz {
 namespace {
 
 constexpr std::uint8_t kMagic = 0x49;  // 'I'
-constexpr std::uint8_t kVersion = 1;
-constexpr std::int64_t kRadius = 1 << 15;
-constexpr std::size_t kAlphabet = 2 * kRadius + 2;  // 0 = outlier marker
-
-template <class T>
-constexpr std::uint8_t dtype_of() {
-  return sizeof(T) == 4 ? 0 : 1;
-}
+using detail::kRadius;
 
 /// Number of refinement levels: limited by the largest dimension so even a
 /// thin tensor refines usefully along its long axes (dimensions shorter
@@ -122,17 +115,14 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   HPDR_REQUIRE(data.size() > 0, "empty input");
   HPDR_REQUIRE(rel_eb > 0, "error bound must be positive");
   const Shape shape = data.shape();
-  const auto range = value_range(data.span());
-  double abs_eb = rel_eb * static_cast<double>(range.extent());
-  if (abs_eb <= 0)
-    abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
+  const double abs_eb = abs_error_bound(value_range(data.span()), rel_eb);
   const double bin = 2.0 * abs_eb;
 
   std::vector<double> recon(shape.size(),
                             std::numeric_limits<double>::quiet_NaN());
   std::vector<std::uint32_t> symbols;
   symbols.reserve(shape.size());
-  std::vector<std::pair<std::uint64_t, T>> outliers;
+  std::vector<detail::Outlier<T>> outliers;
   double prev_base = 0.0;  // delta predictor for the base lattice
 
   traverse(shape, [&](std::size_t flat, std::size_t left,
@@ -165,60 +155,18 @@ std::vector<std::uint8_t> compress_impl(const Device& dev,
   });
   HPDR_ASSERT(symbols.size() == shape.size());
 
-  ByteWriter out;
-  out.put_u8(kMagic);
-  out.put_u8(kVersion);
-  out.put_u8(dtype_of<T>());
-  out.put_u8(static_cast<std::uint8_t>(shape.rank()));
-  for (std::size_t d = 0; d < shape.rank(); ++d) out.put_varint(shape[d]);
-  out.put_f64(abs_eb);
-  out.put_varint(outliers.size());
-  for (auto [pos, val] : outliers) {
-    out.put_varint(pos);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &val, sizeof(T));
-    out.put_varint(bits);
-  }
-  const auto blob = huffman::encode_u32(dev, symbols, kAlphabet);
-  out.put_varint(blob.size());
-  out.put_bytes(blob);
-  return out.take();
+  return detail::write_stream<T>(dev, kMagic, shape, abs_eb, outliers,
+                                 symbols);
 }
 
 template <class T>
 NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
-  ByteReader in(stream);
-  HPDR_REQUIRE(in.get_u8() == kMagic, "not an interp-SZ stream");
-  HPDR_REQUIRE(in.get_u8() == kVersion, "interp-SZ stream version");
-  HPDR_REQUIRE(in.get_u8() == dtype_of<T>(), "interp-SZ dtype mismatch");
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= kMaxRank, "corrupt interp-SZ rank");
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) shape[d] = in.get_varint();
-  HPDR_REQUIRE(shape.size() > 0 && shape.size() <= (std::size_t{1} << 40),
-               "implausible interp-SZ tensor size");
-  const double abs_eb = in.get_f64();
-  const double bin = 2.0 * abs_eb;
-  const std::size_t n_outliers = in.get_varint();
-  HPDR_REQUIRE(n_outliers <= shape.size(), "implausible outlier count");
-  std::vector<std::pair<std::uint64_t, T>> outliers(n_outliers);
-  for (auto& [pos, val] : outliers) {
-    pos = in.get_varint();
-    HPDR_REQUIRE(pos < shape.size(), "outlier out of range");
-    const std::uint64_t bits = in.get_varint();
-    std::memcpy(&val, &bits, sizeof(T));
-  }
-  const std::size_t blob_size = in.get_varint();
-  const auto symbols = huffman::decode_u32(dev, in.get_bytes(blob_size));
-  HPDR_REQUIRE(symbols.size() == shape.size(), "symbol count mismatch");
-  // Outlier lookup in traversal order: map flat→value.
-  std::vector<std::uint8_t> is_outlier(shape.size(), 0);
-  std::vector<T> outlier_value(n_outliers ? shape.size() : 0);
-  for (auto [pos, val] : outliers) {
-    is_outlier[pos] = 1;
-    outlier_value[pos] = val;
-  }
+                           std::span<const std::uint8_t> stream,
+                           std::size_t expect_size) {
+  const auto in = detail::read_stream<T>(dev, kMagic, "interp-SZ", stream,
+                                         expect_size);
+  const Shape& shape = in.shape;
+  const double bin = 2.0 * in.abs_eb;
 
   NDArray<T> result(shape);
   std::vector<double> recon(shape.size());
@@ -226,11 +174,12 @@ NDArray<T> decompress_impl(const Device& dev,
   double prev_base = 0.0;
   traverse(shape, [&](std::size_t flat, std::size_t left,
                       std::size_t right) {
-    const std::uint32_t sym = symbols[cursor++];
+    const std::uint32_t sym = in.symbols[cursor++];
     double rec;
     if (sym == 0) {
-      HPDR_REQUIRE(is_outlier[flat], "outlier marker without stored value");
-      rec = static_cast<double>(outlier_value[flat]);
+      HPDR_REQUIRE(in.is_outlier[flat],
+                   "outlier marker without stored value");
+      rec = static_cast<double>(in.outlier_value[flat]);
     } else {
       double pred;
       if (left == SIZE_MAX)
@@ -263,12 +212,14 @@ std::vector<std::uint8_t> compress_interp(const Device& dev,
   return compress_impl(dev, data, rel_eb);
 }
 NDArray<float> decompress_interp_f32(const Device& dev,
-                                     std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+                                     std::span<const std::uint8_t> stream,
+                                     std::size_t expect_size) {
+  return decompress_impl<float>(dev, stream, expect_size);
 }
-NDArray<double> decompress_interp_f64(
-    const Device& dev, std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+NDArray<double> decompress_interp_f64(const Device& dev,
+                                      std::span<const std::uint8_t> stream,
+                                      std::size_t expect_size) {
+  return decompress_impl<double>(dev, stream, expect_size);
 }
 
 }  // namespace hpdr::sz

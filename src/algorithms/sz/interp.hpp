@@ -32,10 +32,13 @@ std::vector<std::uint8_t> compress_interp(const Device& dev,
                                           NDView<const double> data,
                                           double rel_eb);
 
+/// `expect_size` as for decompress_dualquant_f32 (sz.hpp).
 NDArray<float> decompress_interp_f32(const Device& dev,
-                                     std::span<const std::uint8_t> stream);
+                                     std::span<const std::uint8_t> stream,
+                                     std::size_t expect_size = 0);
 NDArray<double> decompress_interp_f64(const Device& dev,
-                                      std::span<const std::uint8_t> stream);
+                                      std::span<const std::uint8_t> stream,
+                                      std::size_t expect_size = 0);
 
 }  // namespace hpdr::sz
 

@@ -31,17 +31,22 @@ std::vector<std::uint8_t> compress_dualquant(const Device& dev,
                                              NDView<const double> data,
                                              double rel_eb);
 
+/// A non-zero `expect_size` is the element count the caller expects; a
+/// stream whose header claims any other count throws before the decoder
+/// allocates anything sized from that header.
 NDArray<float> decompress_dualquant_f32(const Device& dev,
-                                        std::span<const std::uint8_t> stream);
-NDArray<double> decompress_dualquant_f64(
-    const Device& dev, std::span<const std::uint8_t> stream);
+                                        std::span<const std::uint8_t> stream,
+                                        std::size_t expect_size = 0);
+NDArray<double> decompress_dualquant_f64(const Device& dev,
+                                         std::span<const std::uint8_t> stream,
+                                         std::size_t expect_size = 0);
 
 namespace detail {
 
-/// Quantization alphabet geometry of the dual-quant codec: residuals in
-/// [-kRadius, kRadius] map to symbols 1..2·kRadius+1; symbol 0 marks an
-/// outlier stored exactly. Exposed so tests and bench/kernels agree with
-/// the codec bit-for-bit.
+/// Quantization alphabet geometry of both SZ codecs (dual-quant and
+/// interp): residuals in [-kRadius, kRadius] map to symbols
+/// 1..2·kRadius+1; symbol 0 marks an outlier stored exactly (stream.hpp).
+/// Exposed so tests and bench/kernels agree with the codec bit-for-bit.
 inline constexpr std::int64_t kRadius = std::int64_t{1} << 15;
 inline constexpr std::size_t kAlphabet = 2 * kRadius + 2;
 /// Prequantized integers stay well inside int64 so Lorenzo sums (up to 8

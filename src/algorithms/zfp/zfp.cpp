@@ -901,19 +901,14 @@ std::vector<std::uint8_t> compress_generic(const Device& dev,
 
 template <class T>
 NDArray<T> decompress_impl(const Device& dev,
-                           std::span<const std::uint8_t> stream) {
+                           std::span<const std::uint8_t> stream,
+                           std::size_t expect_size) {
   using Tr = Traits<T>;
   ByteReader in(stream);
   HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "zfp stream version mismatch");
   HPDR_REQUIRE(in.get_u8() == Tr::dtype, "zfp dtype mismatch");
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
-  Shape orig = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
-  HPDR_REQUIRE(orig.size() <= (std::size_t{1} << 40),
-               "implausible zfp tensor size");
-  HPDR_REQUIRE(orig.size() > 0, "zfp stream has empty shape");
+  const Shape orig = get_shape(in, expect_size, "zfp");
   ModeParams<T> mp;
   mp.mode = static_cast<ZfpMode>(in.get_u8());
   switch (mp.mode) {
@@ -1054,12 +1049,14 @@ std::vector<std::uint8_t> compress_accuracy(const Device& dev,
 }
 
 NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream) {
-  return decompress_impl<float>(dev, stream);
+                              std::span<const std::uint8_t> stream,
+                              std::size_t expect_size) {
+  return decompress_impl<float>(dev, stream, expect_size);
 }
 NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream) {
-  return decompress_impl<double>(dev, stream);
+                               std::span<const std::uint8_t> stream,
+                               std::size_t expect_size) {
+  return decompress_impl<double>(dev, stream, expect_size);
 }
 
 namespace {
@@ -1073,10 +1070,8 @@ NDArray<T> decompress_region_impl(const Device& dev,
   HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "zfp stream version mismatch");
   HPDR_REQUIRE(in.get_u8() == Tr::dtype, "zfp dtype mismatch");
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
-  Shape orig = Shape::of_rank(rank);
-  for (std::size_t d = 0; d < rank; ++d) orig[d] = in.get_varint();
+  const Shape orig = get_shape(in, 0, "zfp");
+  const std::size_t rank = orig.rank();
   HPDR_REQUIRE(static_cast<ZfpMode>(in.get_u8()) == ZfpMode::FixedRate,
                "region decoding needs a fixed-rate stream");
   const double rate = in.get_f64();
@@ -1194,9 +1189,7 @@ ZfpMode stream_mode(std::span<const std::uint8_t> stream) {
   HPDR_REQUIRE(in.get_u8() == kMagic, "not a zfp stream");
   HPDR_REQUIRE(in.get_u8() == kVersion, "zfp stream version mismatch");
   in.get_u8();  // dtype
-  const std::size_t rank = in.get_u8();
-  HPDR_REQUIRE(rank >= 1 && rank <= 4, "corrupt zfp rank");
-  for (std::size_t d = 0; d < rank; ++d) in.get_varint();
+  get_shape(in, 0, "zfp");
   const std::uint8_t m = in.get_u8();
   HPDR_REQUIRE(m <= 2, "corrupt zfp mode byte");
   return static_cast<ZfpMode>(m);

@@ -68,11 +68,15 @@ std::vector<std::uint8_t> compress_accuracy(const Device& dev,
                                             double tolerance);
 
 /// Decompress any mode (self-describing); the element type must match the
-/// stream's. Throws on corrupt or type-mismatched input.
+/// stream's. Throws on corrupt or type-mismatched input, and — when
+/// `expect_size` is non-zero — on a header claiming any other element
+/// count, before allocating anything sized from it.
 NDArray<float> decompress_f32(const Device& dev,
-                              std::span<const std::uint8_t> stream);
+                              std::span<const std::uint8_t> stream,
+                              std::size_t expect_size = 0);
 NDArray<double> decompress_f64(const Device& dev,
-                               std::span<const std::uint8_t> stream);
+                               std::span<const std::uint8_t> stream,
+                               std::size_t expect_size = 0);
 
 /// Mode recorded in a stream's header.
 ZfpMode stream_mode(std::span<const std::uint8_t> stream);

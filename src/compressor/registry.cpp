@@ -165,11 +165,11 @@ class MgardCompressor final : public CompressorBase {
                      void* out, const Shape& shape,
                      DType dtype) const override {
     if (dtype == DType::F32) {
-      auto a = mgard::decompress_f32(dev, stream);
+      auto a = mgard::decompress_f32(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     } else {
-      auto a = mgard::decompress_f64(dev, stream);
+      auto a = mgard::decompress_f64(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     }
@@ -201,11 +201,11 @@ class ZfpCompressor final : public CompressorBase {
                      void* out, const Shape& shape,
                      DType dtype) const override {
     if (dtype == DType::F32) {
-      auto a = zfp::decompress_f32(dev, stream);
+      auto a = zfp::decompress_f32(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     } else {
-      auto a = zfp::decompress_f64(dev, stream);
+      auto a = zfp::decompress_f64(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     }
@@ -238,11 +238,11 @@ class SzCompressor final : public CompressorBase {
                      void* out, const Shape& shape,
                      DType dtype) const override {
     if (dtype == DType::F32) {
-      auto a = sz::decompress_dualquant_f32(dev, stream);
+      auto a = sz::decompress_dualquant_f32(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     } else {
-      auto a = sz::decompress_dualquant_f64(dev, stream);
+      auto a = sz::decompress_dualquant_f64(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     }
@@ -274,11 +274,11 @@ class SzInterpCompressor final : public CompressorBase {
                      void* out, const Shape& shape,
                      DType dtype) const override {
     if (dtype == DType::F32) {
-      auto a = sz::decompress_interp_f32(dev, stream);
+      auto a = sz::decompress_interp_f32(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     } else {
-      auto a = sz::decompress_interp_f64(dev, stream);
+      auto a = sz::decompress_interp_f64(dev, stream, shape.size());
       HPDR_REQUIRE(a.size() == shape.size(), "shape mismatch on decompress");
       std::memcpy(out, a.data(), a.size_bytes());
     }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/shape.hpp"
 
 namespace hpdr {
 
@@ -317,6 +318,14 @@ class ByteReader {
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
 };
+
+/// Read a codec header's tensor shape, `u8 rank | rank × varint dim`.
+/// Rejects a rank outside [1, kMaxRank], a zero dimension, more than 2^40
+/// elements (checked dimension by dimension, so the count cannot wrap)
+/// and, when `expect_size` is non-zero, any element count but that one —
+/// all before a decoder allocates anything sized from the header. `what`
+/// names the codec in the error.
+Shape get_shape(ByteReader& in, std::size_t expect_size, const char* what);
 
 }  // namespace hpdr
 

@@ -7,7 +7,10 @@
 /// the metrics the paper reports (error bounds are *relative* to the data
 /// range, compression ratio is original/compressed bytes).
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace hpdr {
@@ -37,6 +40,25 @@ struct Range {
 };
 Range<float> value_range(std::span<const float> v);
 Range<double> value_range(std::span<const double> v);
+
+/// The absolute L∞ bound that a relative bound means for data spanning
+/// `range`: rel_eb × extent. A constant field (zero extent) falls back to
+/// rel_eb × max(1, |lo|), since any positive bin reproduces it. Every
+/// error-bounded codec derives its bound here, so they all agree on what
+/// "relative" means.
+template <class T>
+double abs_error_bound(const Range<T>& range, double rel_eb) {
+  double abs_eb = rel_eb * static_cast<double>(range.extent());
+  if (abs_eb <= 0)
+    abs_eb = rel_eb * std::max(1.0, std::abs(double(range.lo)));
+  return abs_eb;
+}
+
+/// Stream dtype byte shared by the codec headers: 0 = f32, 1 = f64.
+template <class T>
+constexpr std::uint8_t dtype_of() {
+  return sizeof(T) == 4 ? 0 : 1;
+}
 
 /// original_bytes / compressed_bytes; 0 if compressed is empty.
 inline double compression_ratio(std::size_t original_bytes,

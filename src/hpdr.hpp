@@ -42,7 +42,6 @@
 #include "algorithms/mgard/hierarchy.hpp"
 #include "algorithms/mgard/mgard.hpp"
 #include "algorithms/mgard/progressive.hpp"
-#include "algorithms/mgard/refactor.hpp"
 #include "algorithms/mgard/transform.hpp"
 #include "algorithms/sz/interp.hpp"
 #include "algorithms/sz/sz.hpp"

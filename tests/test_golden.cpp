@@ -1,6 +1,6 @@
 // Golden-stream compatibility corpus (tests/golden/, regenerated with
-// `hpdr write-golden`): byte-exact v1 and v2 reference containers plus the
-// expected decode. Two guarantees are locked here:
+// `hpdr write-golden`): byte-exact v1, v2 and v3 reference containers plus
+// the expected decodes. Two guarantees are locked here:
 //   * decoder compatibility — today's reader decodes streams written by
 //     the v1 (legacy, unframed) and v2 (tagged + checksummed) writers to
 //     exactly the recorded bytes;
@@ -52,6 +52,22 @@ pipeline::Options golden_opts() {
   return opts;
 }
 
+/// Every committed v2 stream: codec, container, recorded decode. The
+/// mgard-x decode is the v3 full-refinement file (byte-identity guarantee);
+/// huffman-x is lossless, so its decode is the input itself.
+struct V2Stream {
+  const char* codec;
+  const char* stream;
+  const char* decoded;
+};
+constexpr V2Stream kV2Streams[] = {
+    {"zfp-x", "v2_zfp.hpdr", "v2_zfp.raw"},
+    {"huffman-x", "v2_huffman.hpdr", "input.raw"},
+    {"mgard-x", "v2_mgard.hpdr", "v3_mgard.raw"},
+    {"cusz", "v2_cusz.hpdr", "v2_cusz.raw"},
+    {"sz3-interp", "v2_sz3interp.hpdr", "v2_sz3interp.raw"},
+};
+
 TEST(Golden, CorpusInputIsTheRecordedGenerator) {
   const auto input = slurp("input.raw");
   const auto field = data::nyx_density(golden_shape(), 1234);
@@ -65,10 +81,12 @@ TEST(Golden, InspectReportsBothContainerVersions) {
   EXPECT_EQ(v1.version, 1);
   EXPECT_EQ(v1.compressor, "zfp-x");
   EXPECT_EQ(v1.num_chunks, 4u);
-  const auto v2 = pipeline::inspect(slurp("v2_zfp.hpdr"));
-  EXPECT_EQ(v2.version, 2);
-  EXPECT_EQ(v2.compressor, "zfp-x");
-  EXPECT_EQ(v2.num_chunks, 4u);
+  for (const auto& g : kV2Streams) {
+    const auto v2 = pipeline::inspect(slurp(g.stream));
+    EXPECT_EQ(v2.version, 2) << g.stream;
+    EXPECT_EQ(v2.compressor, g.codec);
+    EXPECT_EQ(v2.num_chunks, 4u) << g.stream;
+  }
 }
 
 TEST(Golden, V1LegacyStreamDecodesToRecordedBytes) {
@@ -83,14 +101,15 @@ TEST(Golden, V1LegacyStreamDecodesToRecordedBytes) {
 }
 
 TEST(Golden, V2StreamDecodesToRecordedBytes) {
-  const auto stream = slurp("v2_zfp.hpdr");
-  const auto expected = slurp("v2_zfp.raw");
   const Device dev = machine::make_device("serial");
-  auto comp = make_compressor("zfp-x");
-  std::vector<std::uint8_t> out(expected.size());
-  pipeline::decompress(dev, *comp, stream, out.data(), golden_shape(),
-                       DType::F32, {});
-  EXPECT_EQ(out, expected);
+  for (const auto& g : kV2Streams) {
+    const auto expected = slurp(g.decoded);
+    auto comp = make_compressor(g.codec);
+    std::vector<std::uint8_t> out(expected.size());
+    pipeline::decompress(dev, *comp, slurp(g.stream), out.data(),
+                         golden_shape(), DType::F32, {});
+    EXPECT_EQ(out, expected) << g.stream;
+  }
 }
 
 TEST(Golden, LosslessStreamRoundTripsToInput) {
@@ -106,27 +125,32 @@ TEST(Golden, LosslessStreamRoundTripsToInput) {
 
 TEST(Golden, RecordedDecodeHonorsTheErrorBound) {
   const auto input = slurp("input.raw");
-  const auto decoded = slurp("v2_zfp.raw");
-  const auto stats = compute_error_stats(
-      {reinterpret_cast<const float*>(input.data()), input.size() / 4},
-      {reinterpret_cast<const float*>(decoded.data()), decoded.size() / 4});
-  EXPECT_LE(stats.max_rel_error, 1e-2);  // zfp at eb 1e-3 (rate-bounded)
+  // zfp at eb 1e-3 is rate-bounded, so it only gets 1e-2; the
+  // error-bounded codecs hold 1e-3 of each chunk's range, hence of the
+  // whole field's.
+  for (const auto& [file, bound] :
+       {std::pair{"v2_zfp.raw", 1e-2}, std::pair{"v3_mgard.raw", 1e-3},
+        std::pair{"v2_cusz.raw", 1e-3}, std::pair{"v2_sz3interp.raw", 1e-3}}) {
+    const auto decoded = slurp(file);
+    const auto stats = compute_error_stats(
+        {reinterpret_cast<const float*>(input.data()), input.size() / 4},
+        {reinterpret_cast<const float*>(decoded.data()), decoded.size() / 4});
+    EXPECT_LE(stats.max_rel_error, bound) << file;
+  }
 }
 
 TEST(Golden, WriterIsByteStable) {
   const auto input = slurp("input.raw");
   const Device dev = machine::make_device("serial");
-  const auto opts = golden_opts();
-  auto zfp = make_compressor("zfp-x");
-  const auto again_zfp = pipeline::compress(dev, *zfp, input.data(),
-                                            golden_shape(), DType::F32, opts);
-  EXPECT_EQ(again_zfp.stream, slurp("v2_zfp.hpdr"))
-      << "v2 writer drifted: bump kVersion (and add a new golden stream) "
-         "instead of silently changing the format";
-  auto huff = make_compressor("huffman-x");
-  const auto again_huff = pipeline::compress(
-      dev, *huff, input.data(), golden_shape(), DType::F32, opts);
-  EXPECT_EQ(again_huff.stream, slurp("v2_huffman.hpdr"));
+  for (const auto& g : kV2Streams) {
+    auto comp = make_compressor(g.codec);
+    const auto again = pipeline::compress(dev, *comp, input.data(),
+                                          golden_shape(), DType::F32,
+                                          golden_opts());
+    EXPECT_EQ(again.stream, slurp(g.stream))
+        << g.codec << " v2 writer drifted: bump its version (and add a new "
+        << "golden stream) instead of silently changing the format";
+  }
 }
 
 // ---- Stream-format v3: the progressive refinement container
@@ -197,7 +221,7 @@ TEST(Golden, V3WriterIsByteStableAcrossThreadWidths) {
   const auto input = slurp("input.raw");
   const auto expected = slurp("v3_mgard.hpdr");
   const Device dev = machine::make_device("serial");
-  for (unsigned threads : {1u, 3u, 8u}) {
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     ThreadPool::instance().resize(threads);
     const auto stream = pipeline::progressive_compress(
         dev, input.data(), golden_shape(), DType::F32, golden_opts());
@@ -208,16 +232,18 @@ TEST(Golden, V3WriterIsByteStableAcrossThreadWidths) {
 
 TEST(Golden, WriterIsByteStableAcrossThreadWidths) {
   const auto input = slurp("input.raw");
-  const auto expected = slurp("v2_zfp.hpdr");
   const Device dev = machine::make_device("serial");
-  auto zfp = make_compressor("zfp-x");
-  for (unsigned threads : {1u, 3u, 8u}) {
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
     ThreadPool::instance().resize(threads);
-    const auto stream = pipeline::compress(dev, *zfp, input.data(),
-                                           golden_shape(), DType::F32,
-                                           golden_opts())
-                            .stream;
-    EXPECT_EQ(stream, expected) << "threads=" << threads;
+    for (const auto& g : kV2Streams) {
+      auto comp = make_compressor(g.codec);
+      const auto stream = pipeline::compress(dev, *comp, input.data(),
+                                             golden_shape(), DType::F32,
+                                             golden_opts())
+                              .stream;
+      EXPECT_EQ(stream, slurp(g.stream))
+          << g.codec << " threads=" << threads;
+    }
   }
   ThreadPool::instance().resize(ThreadPool::default_threads());
 }

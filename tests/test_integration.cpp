@@ -57,26 +57,6 @@ TEST(Integration, GenerateCompressWriteReadVerify) {
   std::remove(path.c_str());
 }
 
-TEST(Integration, RefactorAndCompressAgreeAtFullRetrieval) {
-  // Refactoring with all components and monolithic compression use the
-  // same transform/quantizer: their full-accuracy reconstructions must
-  // both satisfy the bound and be close to each other.
-  const Device dev = Device::openmp();
-  auto ds = data::make("e3sm", data::Size::Tiny);
-  NDView<const float> view(reinterpret_cast<const float*>(ds.data()),
-                           ds.shape);
-  const double eb = 1e-3;
-  auto mono = mgard::decompress_f32(dev, mgard::compress(dev, view, eb));
-  auto rd = mgard::refactor(dev, view, eb);
-  auto prog = mgard::reconstruct_f32(dev, rd);
-  auto s1 = compute_error_stats(ds.as_f32(), mono.span());
-  auto s2 = compute_error_stats(ds.as_f32(), prog.span());
-  EXPECT_LE(s1.max_rel_error, eb);
-  EXPECT_LE(s2.max_rel_error, eb);
-  auto cross = compute_error_stats(mono.span(), prog.span());
-  EXPECT_LE(cross.max_rel_error, 2 * eb);
-}
-
 TEST(Integration, SimulatedThroughputConsistentAcrossLayers) {
   // The analytic scaling model (sim/scaling) and the discrete-event
   // pipeline (pipeline/) describe the same machine: a single-GPU
@@ -173,9 +153,10 @@ TEST(Integration, AllCompressorsSurviveAllDatasets) {
       std::vector<std::uint8_t> out(ds.size_bytes());
       pipeline::decompress(dev, *comp, result.stream, out.data(), ds.shape,
                            ds.dtype, opts);
-      if (comp->lossless())
+      if (comp->lossless()) {
         EXPECT_EQ(std::memcmp(out.data(), ds.data(), ds.size_bytes()), 0)
             << cname << "/" << dsname;
+      }
     }
   }
 }

@@ -146,8 +146,9 @@ TEST(LevelBin, ErrorBudgetSumsWithinBound) {
       double total = 0;
       for (std::size_t l = 0; l <= L; ++l) {
         total += 2.5 * double(rank) * level_bin(eb, l, L, rank) / 2.0;
-        if (l > 0)
+        if (l > 0) {
           EXPECT_LT(level_bin(eb, l - 1, L, rank), level_bin(eb, l, L, rank));
+        }
       }
       EXPECT_LE(total, eb * 1.000001);
       EXPECT_GE(total, eb * 0.8);  // budget mostly used (ratio matters)

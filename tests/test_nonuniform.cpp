@@ -129,9 +129,11 @@ TEST(NonUniform, LinearFunctionsHaveZeroCoefficients) {
   for (std::size_t i = 0; i < n; ++i) a[i] = 3.5 * x[i] - 7.0;
   const Device dev = Device::serial();
   decompose(dev, h, a.data());
-  for (std::size_t i = 0; i < n; ++i)
-    if (h.level_of(i) == h.num_levels())
+  for (std::size_t i = 0; i < n; ++i) {
+    if (h.level_of(i) == h.num_levels()) {
       EXPECT_NEAR(a[i], 0.0, 1e-9) << i;
+    }
+  }
 }
 
 class NonUniformErrorBound

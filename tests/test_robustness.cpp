@@ -9,8 +9,6 @@
 #include <iterator>
 #include <random>
 
-#include "algorithms/mgard/mgard.hpp"
-#include "algorithms/mgard/refactor.hpp"
 #include "core/bitstream.hpp"
 #include "core/checksum.hpp"
 #include "compressor/compressor.hpp"
@@ -90,7 +88,8 @@ TEST_P(CorruptStreams, ByteFlipsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, CorruptStreams,
                          ::testing::Values("mgard-x", "zfp-x", "huffman-x",
-                                           "cusz", "nvcomp-lz4"),
+                                           "sz3-interp", "cusz",
+                                           "nvcomp-lz4"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (auto& c : n)
@@ -98,21 +97,43 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, CorruptStreams,
                            return n;
                          });
 
-TEST(CorruptStreamsExtra, RefactoredStreamsNeverCrash) {
+TEST(CorruptStreamsExtra, MutatedCodecPayloadsDecodeOrThrowError) {
+  // The pipeline's frame checksum rejects most corrupted chunks before a
+  // decoder sees them, so this feeds mutated Compressor::compress payloads
+  // straight to Compressor::decompress: byte flips anywhere, flips within
+  // the header bytes, and truncations. Success and Error are the only
+  // acceptable outcomes (not std::bad_alloc, not a crash).
   const Device dev = Device::serial();
-  NDArray<float> a(Shape{17, 17});
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = std::sin(0.1f * float(i));
-  auto bytes = mgard::refactor(dev, a.view(), 1e-3).serialize();
-  std::mt19937_64 rng(99);
-  for (int trial = 0; trial < 40; ++trial) {
-    auto bad = bytes;
-    bad[rng() % bad.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
-    expect_no_crash([&] {
-      auto rd = mgard::RefactoredData::deserialize(bad);
-      auto r = mgard::reconstruct_f32(dev, rd);
-      (void)r;
-    });
+  const auto& ds = tiny_nyx();
+  std::vector<std::uint8_t> out(ds.size_bytes());
+  std::mt19937_64 rng(20251015);
+  for (const auto& name : compressor_names()) {
+    auto comp = make_compressor(name);
+    const auto payload = comp->compress(dev, ds.data(), ds.shape, ds.dtype,
+                                        1e-2);
+    auto decode = [&](const std::vector<std::uint8_t>& bad, int trial) {
+      try {
+        comp->decompress(dev, bad, out.data(), ds.shape, ds.dtype);
+      } catch (const Error&) {
+        // rejected — fine
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << " mutation " << trial << ": " << e.what();
+      }
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+      auto bad = payload;
+      const int kind = trial % 3;
+      if (kind == 2) {
+        bad.resize(rng() % bad.size());
+      } else {
+        const std::size_t span =
+            kind == 1 ? std::min<std::size_t>(64, bad.size()) : bad.size();
+        const int flips = 1 + static_cast<int>(rng() % 4);
+        for (int f = 0; f < flips; ++f)
+          bad[rng() % span] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+      decode(bad, trial);
+    }
   }
 }
 
@@ -137,22 +158,40 @@ TEST(CorruptStreamsExtra, EmptyAndGarbageInputsThrow) {
 }
 
 TEST(CorruptStreamsExtra, HostileHeaderSizesAreRejectedBeforeAllocation) {
-  // A forged container claiming a petabyte tensor must be rejected by the
-  // sanity checks, not by the allocator.
+  // Current-version codec headers claiming 2^13 x 2^13 x 2^13 = 2^39
+  // elements (under the decoders' 2^40 sanity cap): the caller's shape
+  // must reject them before anything is allocated from the header.
   const Device dev = Device::serial();
-  ByteWriter w;
-  w.put_u8(0x47);  // MGARD magic
-  w.put_u8(1);     // version
-  w.put_u8(0);     // f32
-  w.put_u8(3);     // rank
-  w.put_varint(std::size_t{1} << 20);
-  w.put_varint(std::size_t{1} << 20);
-  w.put_varint(std::size_t{1} << 20);  // 2^60 elements
-  w.put_u8(1);     // lossy mode
-  w.put_f64(1e-3);
-  w.put_varint(0);
-  auto forged = w.take();
-  EXPECT_THROW(mgard::decompress_f32(dev, forged), Error);
+  const Shape shape{4, 16};
+  std::vector<float> out(shape.size());
+  auto header = [](std::uint8_t magic, std::uint8_t version) {
+    ByteWriter w;
+    w.put_u8(magic);
+    w.put_u8(version);
+    w.put_u8(0);  // f32
+    w.put_u8(3);  // rank
+    for (int d = 0; d < 3; ++d) w.put_varint(std::size_t{1} << 13);
+    return w;
+  };
+  ByteWriter mg = header(0x47, 2);  // MGARD 'G' v2
+  mg.put_u8(1);                     // lossy mode
+  mg.put_f64(1e-3);                 // abs_eb
+  mg.put_f64(0.0);                  // s
+  mg.put_u8(0);                     // uniform grid
+  mg.put_varint(0);                 // no outliers
+  ByteWriter dq = header(0x44, 1);  // dual-quant 'D' v1
+  ByteWriter in = header(0x49, 1);  // interp 'I' v1
+  for (ByteWriter* w : {&dq, &in}) {
+    w->put_f64(1e-3);  // abs_eb
+    w->put_varint(0);  // no outliers
+  }
+  const std::pair<const char*, std::vector<std::uint8_t>> forged[] = {
+      {"mgard-x", mg.take()}, {"cusz", dq.take()}, {"sz3-interp", in.take()}};
+  for (const auto& [name, bytes] : forged)
+    EXPECT_THROW(make_compressor(name)->decompress(dev, bytes, out.data(),
+                                                   shape, DType::F32),
+                 Error)
+        << name;
 }
 
 TEST(CorruptStreamsExtra, ForgedChunkRowsThatWrapAreRejected) {

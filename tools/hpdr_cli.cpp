@@ -6,8 +6,6 @@
 //   hpdr info <in.hpdr>
 //   hpdr verify <a.raw> <b.raw> --dtype f32|f64       error statistics
 //   hpdr trace <in.raw> <out.json> --shape ... --device V100 [options]
-//   hpdr refactor <in.raw> <out.hpr> --shape AxBxC --eb X   progressive form
-//   hpdr reconstruct <in.hpr> <out.raw> [--components K]    partial retrieval
 //   hpdr retrieve <in.hpdr> <out.raw> --bound X [--refine Y,Z] [--device D]
 //              progressive retrieval from a v3 container (DESIGN.md §15):
 //              fetch only the component prefix that meets --bound (relative
@@ -74,6 +72,7 @@
 #include <future>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/bitstream.hpp"
@@ -98,8 +97,6 @@ namespace {
                "  hpdr verify <a.raw> <b.raw> --dtype f32|f64\n"
                "  hpdr trace <in.raw> <out.json> --shape AxBxC [--algo NAME] "
                "[--eb X] [--device D]\n"
-               "  hpdr refactor <in.raw> <out.hpr> --shape AxBxC [--eb X]\n"
-               "  hpdr reconstruct <in.hpr> <out.raw> [--components K]\n"
                "  hpdr retrieve <in.hpdr> <out.raw> [--bound X] "
                "[--refine Y,Z] [--device D] [--recover strict|skip]\n"
                "  hpdr serve [--jobs N] [--sessions S] [--requests R] "
@@ -577,68 +574,6 @@ int cmd_trace(int argc, char** argv) {
   return 0;
 }
 
-int cmd_refactor(int argc, char** argv) {
-  if (argc < 4) usage("refactor needs <in.raw> <out.hpr>");
-  auto flags = parse_flags(argc, argv, 4);
-  if (!flags.count("shape")) usage("--shape is required");
-  const Shape shape = parse_shape(flags.at("shape"));
-  const double eb = flags.count("eb") ? std::stod(flags.at("eb")) : 1e-3;
-  const Device dev = machine::make_device(
-      flags.count("device") ? flags.at("device") : "openmp");
-  auto raw = read_file(argv[2]);
-  HPDR_REQUIRE(raw.size() == shape.size() * 4,
-               "refactor currently handles f32 rasters; size mismatch");
-  NDView<const float> view(reinterpret_cast<const float*>(raw.data()),
-                           shape);
-  auto rd = mgard::refactor(dev, view, eb);
-  auto bytes = rd.serialize();
-  write_file(argv[3], bytes);
-  std::printf("refactored %s into %zu components (%.2f MB -> %.2f MB)\n",
-              shape.to_string().c_str(), rd.components.size(),
-              raw.size() / 1048576.0, bytes.size() / 1048576.0);
-  for (std::size_t k = 1; k <= rd.components.size(); ++k)
-    std::printf("  first %zu component(s): %zu B (%.1f%%)\n", k,
-                rd.prefix_bytes(k),
-                100.0 * rd.prefix_bytes(k) / rd.total_bytes());
-  telemetry::Value res = telemetry::Value::object();
-  res.set("components", telemetry::Value(rd.components.size()));
-  res.set("raw_bytes", telemetry::Value(raw.size()));
-  res.set("stored_bytes", telemetry::Value(bytes.size()));
-  emit_observability(flags, "refactor", telemetry::Value::object(),
-                     telemetry::dataset_json(shape, "f32", raw.size()),
-                     std::move(res));
-  return 0;
-}
-
-int cmd_reconstruct(int argc, char** argv) {
-  if (argc < 4) usage("reconstruct needs <in.hpr> <out.raw>");
-  auto flags = parse_flags(argc, argv, 4);
-  const std::size_t k =
-      flags.count("components") ? std::stoull(flags.at("components")) : 0;
-  const Device dev = machine::make_device(
-      flags.count("device") ? flags.at("device") : "openmp");
-  auto bytes = read_file(argv[2]);
-  auto rd = mgard::RefactoredData::deserialize(bytes);
-  auto out = mgard::reconstruct_f32(dev, rd, k);
-  write_file(argv[3],
-             {reinterpret_cast<const std::uint8_t*>(out.data()),
-              out.size_bytes()});
-  std::printf("reconstructed %s from %zu of %zu components -> %s\n",
-              out.shape().to_string().c_str(),
-              k == 0 ? rd.components.size() : k, rd.components.size(),
-              argv[3]);
-  telemetry::Value res = telemetry::Value::object();
-  res.set("components_used",
-          telemetry::Value(k == 0 ? rd.components.size() : k));
-  res.set("components_total", telemetry::Value(rd.components.size()));
-  res.set("raw_bytes", telemetry::Value(out.size_bytes()));
-  emit_observability(flags, "reconstruct", telemetry::Value::object(),
-                     telemetry::dataset_json(out.shape(), "f32",
-                                             out.size_bytes()),
-                     std::move(res));
-  return 0;
-}
-
 /// `hpdr stats [snapshot.prom]` — live-stats viewer (DESIGN.md §12). With a
 /// file argument it prints a snapshot published by `serve --stats-file` (or
 /// any Prometheus text file); without one it exports the current process's
@@ -1076,8 +1011,26 @@ int cmd_write_golden(int argc, char** argv) {
   rd.refine_full(dev);
   write_file(dir + "/v3_mgard.raw", rd.data());
 
+  // v2 streams of the quantized-symbol codecs, same raster and chunk split.
+  // The mgard-x decode is v3_mgard.raw (byte-identity guarantee above), so
+  // only the SZ pair records its own decode.
+  for (const auto& [name, file, record_decode] :
+       {std::tuple{"mgard-x", "v2_mgard", false},
+        std::tuple{"cusz", "v2_cusz", true},
+        std::tuple{"sz3-interp", "v2_sz3interp", true}}) {
+    auto comp = make_compressor(name);
+    const auto v2c =
+        pipeline::compress(dev, *comp, raw.data(), shape, DType::F32, gopts);
+    write_file(dir + "/" + file + ".hpdr", v2c.stream);
+    if (!record_decode) continue;
+    pipeline::decompress(dev, *comp, v2c.stream, decoded.data(), shape,
+                         DType::F32, {});
+    write_file(dir + "/" + file + ".raw", decoded);
+  }
+
   std::printf("golden corpus in %s: input.raw, v1_zfp.hpdr, v2_zfp.hpdr, "
-              "v2_zfp.raw, v2_huffman.hpdr, v3_mgard.hpdr, v3_mgard.raw\n",
+              "v2_zfp.raw, v2_huffman.hpdr, v3_mgard.hpdr, v3_mgard.raw, "
+              "v2_mgard.hpdr, v2_cusz.{hpdr,raw}, v2_sz3interp.{hpdr,raw}\n",
               dir.c_str());
   return 0;
 }
@@ -1116,8 +1069,6 @@ int main(int argc, char** argv) {
     else if (cmd == "info") rc = cmd_info(argc, argv);
     else if (cmd == "verify") rc = cmd_verify(argc, argv);
     else if (cmd == "trace") rc = cmd_trace(argc, argv);
-    else if (cmd == "refactor") rc = cmd_refactor(argc, argv);
-    else if (cmd == "reconstruct") rc = cmd_reconstruct(argc, argv);
     else if (cmd == "retrieve") rc = cmd_retrieve(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
     else if (cmd == "stats") rc = cmd_stats(argc, argv);
